@@ -13,8 +13,8 @@ reported but never fail the run.
 from __future__ import annotations
 
 import argparse
-import sys
 
+from repro import cli
 from repro.check.deps import check_deps
 from repro.check.gspn import check_gspn_models
 from repro.check.lints import lint_paths
@@ -36,27 +36,6 @@ _RUNNERS = {
 }
 
 
-def _csv(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def select_passes(
-    only: str | None, skip: str | None
-) -> tuple[list[str], list[str]]:
-    """``(selected, unknown)`` in declaration order, mirroring the runner
-    CLI's --only/--skip validation: unknown names are an error, not a
-    silent no-op."""
-    requested = set(PASS_NAMES)
-    if only:
-        requested &= set(_csv(only))
-    if skip:
-        requested -= set(_csv(skip))
-    unknown = sorted(
-        (set(_csv(only or "")) | set(_csv(skip or ""))) - set(PASS_NAMES)
-    )
-    return [name for name in PASS_NAMES if name in requested], unknown
-
-
 def run_check(passes: list[str] | None = None) -> CheckReport:
     """Run the named passes (default: all) and collect one report."""
     report = CheckReport()
@@ -65,6 +44,7 @@ def run_check(passes: list[str] | None = None) -> CheckReport:
     return report
 
 
+@cli.exits
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro check",
@@ -95,14 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    selected, unknown = select_passes(args.only, args.skip)
-    if unknown:
-        print(f"unknown pass(es): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(PASS_NAMES)}", file=sys.stderr)
-        return 2
-    if not selected:
-        print("selection is empty (check --only/--skip)", file=sys.stderr)
-        return 2
+    selected = cli.select(PASS_NAMES, args.only, args.skip, what="pass(es)")
 
     report = run_check(selected)
     if args.format == "json":

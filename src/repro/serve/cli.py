@@ -12,10 +12,12 @@ work.  ``--summary-out`` writes the BENCH-style service summary
 (hit/miss latency percentiles, admission counters, breaker trips) on
 the way down.
 
-``--inject`` takes the same deterministic fault plans as the batch
-CLI, matched against job labels (e.g. ``'sweep:figure7/*=crash:2'``),
-which is how the CI smoke proves the circuit breaker opens under a
-pool outage and recovers after it.
+The supervision flags (``--cache-dir``, ``--task-timeout``,
+``--max-retries``, ``--inject``, ``--resume``) are the batch CLI's,
+declared and validated once in :mod:`repro.cli`.  ``--inject`` fault
+plans match job labels (e.g. ``'sweep:figure7/*=crash:2'``), which is
+how the CI smoke proves the circuit breaker opens under a pool outage
+and recovers after it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import sys
 import threading
 from pathlib import Path
 
-from repro.faults import FaultPlan, FaultPlanError
-from repro.runner import ResultCache, RunJournal, default_cache_dir
+from repro import cli
 from repro.serve.api import resolve_request
 from repro.serve.breaker import BreakerConfig
 from repro.serve.http import make_server
@@ -59,25 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="open -> half-open probe delay")
     parser.add_argument("--breaker-probes", type=int, default=1, metavar="N",
                         help="successful half-open probes needed to close")
-    parser.add_argument("--task-timeout", type=float, default=120.0,
-                        metavar="SECONDS",
-                        help="default per-attempt watchdog (request "
-                             "timeout_s budgets tighten it per job)")
-    parser.add_argument("--max-retries", type=int, default=1, metavar="N")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache root (default .repro-cache, or "
-                             "$REPRO_CACHE_DIR)")
-    parser.add_argument("--inject", action="append", default=None,
-                        metavar="LABEL=KIND",
-                        help="deterministic fault injection, matched against "
-                             "job labels (e.g. 'sweep:figure7/*=crash:2')")
-    parser.add_argument("--resume", action="store_true",
-                        help="re-enqueue requests journaled 'submitted' by a "
-                             "previous daemon that was killed mid-flight")
-    parser.add_argument("--inline", action="store_true",
-                        help="run attempts in-process instead of "
-                             "process-per-attempt (tests only: a crashing "
-                             "task is simulated, not a real child process)")
     parser.add_argument("--drain-grace", type=float, default=10.0,
                         metavar="SECONDS",
                         help="how long SIGTERM waits for in-flight work")
@@ -88,9 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "shutdown")
     parser.add_argument("--verbose", action="store_true",
                         help="log every HTTP request to stderr")
+    cli.add_supervision_flags(parser)
+    # A daemon always caches and never aborts on a quarantine; its
+    # watchdog defaults on (request timeout_s budgets tighten it).
+    parser.set_defaults(task_timeout=120.0, no_cache=False, fail_fast=False)
     return parser
 
 
+@cli.exits
 def main(argv: list[str] | None = None) -> int:
     """Run the daemon until SIGTERM/SIGINT, then drain and summarize.
 
@@ -100,12 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     ``serve:daemon`` entry point so the static passes cover the
     service subsystem."""
     args = build_parser().parse_args(argv)
-    try:
-        faults = FaultPlan.parse(args.inject or [])
-        faults = FaultPlan(faults.specs + FaultPlan.from_env().specs)
-    except FaultPlanError as exc:
-        print(f"bad --inject / $REPRO_INJECT: {exc}", file=sys.stderr)
-        return 2
+    session = cli.open_session(args)
     try:
         config = ServiceConfig(
             queue_depth=args.queue_depth,
@@ -117,20 +99,16 @@ def main(argv: list[str] | None = None) -> int:
                 reset_timeout_s=args.breaker_reset,
                 probe_successes=args.breaker_probes,
             ),
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            isolate=not args.inline,
+            task_timeout=session.policy.task_timeout,
+            max_retries=session.policy.max_retries,
             drain_grace_s=args.drain_grace,
         )
     except ValueError as exc:
-        print(f"bad serve flags: {exc}", file=sys.stderr)
-        return 2
+        raise cli.Exit(2, f"bad serve flags: {exc}") from None
 
-    cache = ResultCache(args.cache_dir or default_cache_dir())
-    journal = RunJournal(cache.root, cache.fingerprint)
     service = SimulationService(
-        resolve_request, cache, config=config, journal=journal,
-        faults=faults or None,
+        resolve_request, session.cache, config=config,
+        journal=session.journal, faults=session.faults,
     )
     service.start()
     if args.resume:
@@ -145,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.ready_file).write_text(f"{host} {port}\n")
     print(f"serving on http://{host}:{port} "
           f"(workers={config.workers}, queue={config.queue_depth}, "
-          f"fingerprint={cache.fingerprint[:12]})", file=sys.stderr)
+          f"fingerprint={session.cache.fingerprint[:12]})", file=sys.stderr)
 
     stop = threading.Event()
 

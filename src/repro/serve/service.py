@@ -130,6 +130,10 @@ class ServiceConfig:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # The batch CLIs' bounds, checked here rather than per job: a
+        # bad value would otherwise quarantine every miss.
+        SupervisionPolicy(task_timeout=self.task_timeout,
+                          max_retries=self.max_retries)
 
 
 class SimulationService:
@@ -490,7 +494,7 @@ class SimulationService:
         )
         # jobs=2 forces the pooled (process-per-attempt) path even for a
         # single task, so a crash or hang kills a child, never the daemon;
-        # inline mode (tests, --inline) shares this process.
+        # inline mode (isolate=False, tests only) shares this process.
         [outcome] = supervised_map(
             _execute, [job.task], labels=[job.task.label],
             jobs=2 if self.config.isolate else 1,

@@ -2,29 +2,31 @@
 
 import json
 
+import pytest
+
 import repro.__main__ as repro_main
-from repro.check.cli import PASS_NAMES, main, run_check, select_passes
+from repro.check.cli import PASS_NAMES, main, run_check
+from repro.cli import Exit, select
 from repro.check.report import CheckReport, Finding, PassResult
 
 
 class TestSelection:
     def test_default_selects_all_in_order(self):
-        selected, unknown = select_passes(None, None)
-        assert selected == list(PASS_NAMES)
-        assert unknown == []
+        assert select(PASS_NAMES, None, None) == list(PASS_NAMES)
 
     def test_only_narrows(self):
-        selected, unknown = select_passes("lints,protocol", None)
-        assert selected == ["protocol", "lints"]  # declaration order
-        assert unknown == []
+        # declaration order, not --only order
+        assert select(PASS_NAMES, "lints,protocol", None) == [
+            "protocol", "lints"]
 
     def test_skip_removes(self):
-        selected, _ = select_passes(None, "gspn")
+        selected = select(PASS_NAMES, None, "gspn")
         assert selected == ["protocol", "lints", "deps", "units", "races"]
 
     def test_unknown_names_reported_not_ignored(self):
-        _, unknown = select_passes("protocol,nosuch", "bogus")
-        assert unknown == ["bogus", "nosuch"]
+        with pytest.raises(Exit, match="unknown pass.*: bogus, nosuch") as exc:
+            select(PASS_NAMES, "protocol,nosuch", "bogus", what="pass(es)")
+        assert exc.value.code == 2
 
 
 class TestMain:

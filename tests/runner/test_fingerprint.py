@@ -150,6 +150,9 @@ class TestSliceFingerprint:
         assert "repro.check.gspn" not in sliced.modules
         assert "repro.check.deps" not in sliced.modules
         assert "repro.__main__" not in sliced.modules
+        # Nor is the front-end spine: editing CLI flags keeps results.
+        assert "repro.cli" not in sliced.modules
+        assert "repro.sweep.cli" not in sliced.modules
 
 
 class TestSlicerSalt:

@@ -372,3 +372,11 @@ class TestObservability:
             ServiceConfig(queue_depth=0)
         with pytest.raises(ValueError, match="workers"):
             ServiceConfig(workers=0)
+
+    def test_config_rejects_what_the_batch_clis_reject(self):
+        # Otherwise the bad policy surfaces per job: every miss is
+        # quarantined as an exception and trips the breaker.
+        with pytest.raises(ValueError, match="task_timeout"):
+            ServiceConfig(task_timeout=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            ServiceConfig(max_retries=-1)
