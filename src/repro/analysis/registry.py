@@ -302,8 +302,8 @@ def entry_points() -> dict[str, str]:
 
     Besides the registered experiments this includes the simulation
     service's roots (``serve:*``), so the ``deps``/``units``/``lints``
-    passes reach the serving subsystem — its admission path, breaker
-    and HTTP stack — exactly like experiment code.  Lazy import: the
+    passes reach the serving subsystem — its admission path, work
+    queue and HTTP stack — exactly like experiment code.  Lazy import: the
     serve package resolves requests *against* this registry."""
     points = {name: spec.entry_point for name, spec in SPECS.items()}
     from repro.serve.api import serve_entry_points

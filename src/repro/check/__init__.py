@@ -43,8 +43,8 @@ silent model bug can poison the content-addressed result cache):
   call-chain witness from a registered entry point.
 - ``races`` (:mod:`repro.check.races`, also on the call graph) —
   static race detection over the repo's *own* concurrency (the serve
-  subsystem's ThreadingHTTPServer, worker threads, token buckets and
-  circuit breaker, and the SIGTERM→journal bridge): thread roots are
+  subsystem's ThreadingHTTPServer, worker threads, condition-variable
+  work queue, and the SIGTERM→journal bridge): thread roots are
   discovered from ``threading.Thread`` targets, ``do_*`` HTTP handler
   methods and ``signal.signal`` handlers; shared attributes get their
   guarding lock inferred as the intersection of locksets at their

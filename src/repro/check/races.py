@@ -3,10 +3,9 @@
 The ``protocol`` pass model-checks the *simulated* coherence invariant
 (one writer, no stale sharers); since the serve subsystem landed, the
 repo itself is a concurrent system — a ThreadingHTTPServer, worker
-threads, a condition-variable work queue, token buckets, a circuit
-breaker, and a SIGTERM bridge — and none of that Python-level sharing
-was verified by anything but whichever interleavings the tests happen
-to hit.  This pass closes the gap with an Eraser-style static lockset
+threads, a condition-variable work queue, a run journal, and a SIGTERM
+bridge — and none of that Python-level sharing was verified by
+anything but whichever interleavings the tests happen to hit.  This pass closes the gap with an Eraser-style static lockset
 analysis rooted at *thread roots* rather than the registry alone:
 
 - **thread-root discovery** — every ``threading.Thread(target=...)`` /

@@ -783,14 +783,6 @@ class _FunctionFlow:
                     f"{callee}(), which declares '{fdim}'")
 
 
-def default_entry_points() -> dict[str, str]:
-    """The same roots as the ``deps`` pass: registered experiments plus
-    the sweep bases."""
-    from repro.check.deps import registry_entry_points
-
-    return registry_entry_points()
-
-
 def check_units(root: Path | None = None, package: str | None = None,
                 entry_points: dict[str, str] | None = None,
                 annotations: dict[str, str] | None = None) -> PassResult:
@@ -803,7 +795,9 @@ def check_units(root: Path | None = None, package: str | None = None,
     """
     graph = build_callgraph(root, package)
     if entry_points is None:
-        entry_points = default_entry_points() if root is None else {}
+        from repro.check.deps import registry_entry_points
+
+        entry_points = registry_entry_points() if root is None else {}
     if annotations is None:
         annotations = ANNOTATIONS
     return _UnitsAnalysis(graph, entry_points, annotations).run()

@@ -8,9 +8,6 @@ in front of the supervised process pool:
   in-flight jobs and content-addressed cache hits, a bounded work
   queue with explicit backpressure, deadline propagation, and SIGTERM
   drain into the runner journal.
-- :mod:`repro.serve.breaker` — the circuit breaker that wraps the pool
-  and degrades the service to cache-hit-only mode during an outage.
-- :mod:`repro.serve.admission` — per-client token-bucket rate limits.
 - :mod:`repro.serve.api` — request bodies -> runner tasks (registry
   experiments and sweep base points), cache-key compatible with the
   batch CLI and the sweep engine.
@@ -22,8 +19,6 @@ Nothing here imports anything heavier than the stdlib: the daemon is
 deployable wherever the batch CLI runs.
 """
 
-from repro.serve.admission import RateLimiter, TokenBucket
-from repro.serve.breaker import BreakerConfig, CircuitBreaker
 from repro.serve.service import (
     Job,
     ServeRequestError,
@@ -32,12 +27,8 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "BreakerConfig",
-    "CircuitBreaker",
     "Job",
-    "RateLimiter",
     "ServeRequestError",
     "ServiceConfig",
     "SimulationService",
-    "TokenBucket",
 ]

@@ -9,15 +9,14 @@ Shutdown contract: SIGTERM and SIGINT both *drain* — admissions stop
 whatever is still unfinished stays journaled ``submitted`` under the
 cache root, so the next ``serve --resume`` re-enqueues exactly that
 work.  ``--summary-out`` writes the BENCH-style service summary
-(hit/miss latency percentiles, admission counters, breaker trips) on
-the way down.
+(hit/miss latency percentiles, admission counters) on the way down.
 
 The supervision flags (``--cache-dir``, ``--task-timeout``,
 ``--max-retries``, ``--inject``, ``--resume``) are the batch CLI's,
 declared and validated once in :mod:`repro.cli`.  ``--inject`` fault
 plans match job labels (e.g. ``'sweep:figure7/*=crash:2'``), which is
-how the CI smoke proves the circuit breaker opens under a pool outage
-and recovers after it.
+how the CI smoke proves that crashed jobs are quarantined while the
+daemon keeps admitting and finishing healthy work.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from pathlib import Path
 
 from repro import cli
 from repro.serve.api import resolve_request
-from repro.serve.breaker import BreakerConfig
 from repro.serve.http import make_server
 from repro.serve.service import ServiceConfig, SimulationService
 
@@ -48,18 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pool dispatcher threads (concurrent tasks)")
     parser.add_argument("--queue-depth", type=int, default=64,
                         help="bounded work queue; beyond it submits get 429")
-    parser.add_argument("--rate", type=float, default=50.0,
-                        help="per-client sustained submits/sec (token bucket)")
-    parser.add_argument("--burst", type=float, default=100.0,
-                        help="per-client burst allowance (bucket capacity)")
-    parser.add_argument("--breaker-threshold", type=int, default=3,
-                        metavar="N",
-                        help="consecutive quarantines that trip the breaker")
-    parser.add_argument("--breaker-reset", type=float, default=10.0,
-                        metavar="SECONDS",
-                        help="open -> half-open probe delay")
-    parser.add_argument("--breaker-probes", type=int, default=1, metavar="N",
-                        help="successful half-open probes needed to close")
     parser.add_argument("--drain-grace", type=float, default=10.0,
                         metavar="SECONDS",
                         help="how long SIGTERM waits for in-flight work")
@@ -81,24 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run the daemon until SIGTERM/SIGINT, then drain and summarize.
 
-    Builds the admission stack (cache + journal + rate limiter +
-    breaker) from flags, binds the HTTP front end, and blocks.  Exit 0
-    after a clean drain, 2 on unusable flags.  Registered as the
-    ``serve:daemon`` entry point so the static passes cover the
-    service subsystem."""
+    Builds the admission stack (cache + journal + bounded queue) from
+    flags, binds the HTTP front end, and blocks.  Exit 0 after a clean
+    drain, 2 on unusable flags.  Registered as the ``serve:daemon``
+    entry point so the static passes cover the service subsystem."""
     args = build_parser().parse_args(argv)
     session = cli.open_session(args)
     try:
         config = ServiceConfig(
             queue_depth=args.queue_depth,
             workers=args.workers,
-            rate=args.rate,
-            burst=args.burst,
-            breaker=BreakerConfig(
-                failure_threshold=args.breaker_threshold,
-                reset_timeout_s=args.breaker_reset,
-                probe_successes=args.breaker_probes,
-            ),
             task_timeout=session.policy.task_timeout,
             max_retries=session.policy.max_retries,
             drain_grace_s=args.drain_grace,

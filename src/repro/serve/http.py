@@ -4,14 +4,13 @@ Endpoints (all JSON):
 
 - ``POST /submit`` — admit a request (see :mod:`repro.serve.api` for
   body shapes).  ``200`` with terminal/coalesced status, ``202``
-  enqueued, ``400`` malformed, ``429`` over rate limit or queue full
-  (with ``Retry-After``), ``503`` breaker open or draining (with
-  ``Retry-After``).
+  enqueued, ``400`` malformed, ``429`` queue full (with
+  ``Retry-After``), ``503`` draining (with ``Retry-After``).
 - ``GET /status/<id>`` — job lifecycle state.
 - ``GET /result/<id>`` — terminal state plus the result payload
   (``202`` while still in flight).
-- ``GET /health`` — service health: breaker state, queue depth,
-  counters, degraded/draining flags.
+- ``GET /health`` — service health: ok/draining status, queue depth,
+  counters.
 - ``GET /metrics`` — the BENCH-style service summary (latency
   percentiles per request kind).
 
@@ -19,9 +18,6 @@ Built on ``http.server.ThreadingHTTPServer``: one thread per
 connection, all of them funnelling into the service's admission lock.
 The handler is deliberately dumb — every decision lives in
 :mod:`repro.serve.service` where it is unit-testable without sockets.
-
-Clients identify themselves with an ``X-Client-Id`` header; without
-one, the peer address is the rate-limiting identity.
 """
 
 from __future__ import annotations
@@ -59,10 +55,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _client_id(self) -> str:
-        header = self.headers.get("X-Client-Id", "").strip()
-        return header or f"{self.client_address[0]}"
-
     # -- verbs ------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
@@ -83,8 +75,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError as exc:
             self._reply(400, {"error": f"request body is not JSON: {exc}"})
             return
-        status, body, headers = self.service.submit(
-            request, client=self._client_id())
+        status, body, headers = self.service.submit(request)
         self._reply(status, body, headers)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)

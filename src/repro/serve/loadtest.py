@@ -72,10 +72,8 @@ class _Tally:
 class LoadtestClient:
     """Blocking JSON-over-HTTP client for one daemon."""
 
-    def __init__(self, url: str, client_id: str,
-                 timeout_s: float = 10.0) -> None:
+    def __init__(self, url: str, timeout_s: float = 10.0) -> None:
         self.url = url.rstrip("/")
-        self.client_id = client_id
         self.timeout_s = timeout_s
 
     #: Synthetic status for a transport-level failure (connection reset,
@@ -90,8 +88,7 @@ class LoadtestClient:
         data = json.dumps(body).encode() if body is not None else None
         request = urllib.request.Request(
             self.url + path, data=data, method=method,
-            headers={"Content-Type": "application/json",
-                     "X-Client-Id": self.client_id},
+            headers={"Content-Type": "application/json"},
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as rsp:
@@ -164,7 +161,7 @@ def run_loadtest(
     deadline = time.perf_counter() + deadline_s  # repro: allow(wall-clock) — loadtest deadline
 
     if warm:
-        warmer = LoadtestClient(url, "loadtest-warm")
+        warmer = LoadtestClient(url)
         warm_tally = _Tally()
         warmer.submit_and_settle(hit_request, deadline, warm_tally,
                                  "warm", poll_interval_s)
@@ -174,7 +171,9 @@ def run_loadtest(
     tallies = [_Tally() for _ in range(clients)]
 
     def client_loop(index: int) -> None:
-        client = LoadtestClient(url, f"loadtest-{index}")
+        # A fresh client per thread, not a shared closure variable: the
+        # races pass follows calls on locals it saw constructed.
+        client = LoadtestClient(url)
         tally = tallies[index]
         for local in range(requests_per_client):
             slot = index * requests_per_client + local
@@ -224,7 +223,7 @@ def run_loadtest(
     # admission path, free of this load generator's thread-scheduling
     # overhead (32 client threads share one interpreter, which adds a
     # flat tens-of-ms offset to every client-side sample).
-    status, server_summary, _ = LoadtestClient(url, "loadtest-metrics").call(
+    status, server_summary, _ = LoadtestClient(url).call(
         "GET", "/metrics")
     total = clients * requests_per_client
     return {

@@ -13,21 +13,17 @@ exists to keep the layer behind it healthy:
    absorbs high-traffic request storms.
 2. **backpressure** — cache misses enter a bounded queue.  A full
    queue refuses with HTTP 429 + ``Retry-After`` (estimated drain
-   time), and a per-client token bucket (:mod:`repro.serve.admission`)
-   stops one hot client from filling the queue for everyone.
-3. **circuit breaker** — the pool is wrapped in one shared
-   :class:`~repro.serve.breaker.CircuitBreaker`.  Consecutive
-   quarantines (crash, hang, corrupt result) trip it; while open the
-   service *degrades* instead of dying: cache hits still serve, misses
-   get 503 + ``Retry-After``, and half-open probes test the pool
-   before full admission resumes.  The breaker wraps the pool rather
-   than individual tasks — see DESIGN.md §8.
-4. **deadlines + drain** — a request's ``timeout_s`` budget flows into
+   time), so no more than ``queue_depth`` jobs ever wait on the pool.
+3. **deadlines + drain** — a request's ``timeout_s`` budget flows into
    the attempt watchdog (``SupervisionPolicy.task_timeout``), queue
    wait included, so a request cannot outlive its caller's interest.
    On SIGTERM the service drains: admissions stop, in-flight work gets
    a bounded grace period, and everything still unfinished remains
    journaled ``submitted`` so a restarted daemon ``--resume``\\ s it.
+
+A failing pool needs no layer of its own: the supervised runner
+retries each crashed, hung or corrupt attempt and quarantines the task
+once its retries run out, so every admitted job settles (DESIGN.md §8).
 
 Every admitted job is journaled (:mod:`repro.runner.journal`) the
 moment it is accepted and again when it settles, using the same
@@ -54,8 +50,6 @@ from repro.runner.journal import (
     RunJournal,
 )
 from repro.runner.resilience import SupervisionPolicy, supervised_map
-from repro.serve.admission import RateLimiter
-from repro.serve.breaker import BreakerConfig, CircuitBreaker
 
 # Job lifecycle states (terminal: done, quarantined, expired).
 JOB_QUEUED = "queued"
@@ -91,7 +85,6 @@ class Job:
     deadline: float | None = None  # service-clock instant, None = no budget
     attempts: int = 0
     coalesced: int = 0  # extra submits collapsed onto this job
-    probe: bool = False  # admitted as a half-open breaker probe
     settled: threading.Event = field(default_factory=threading.Event)
 
     def public(self, queue_depth: int | None = None) -> dict[str, Any]:
@@ -117,9 +110,6 @@ class ServiceConfig:
 
     queue_depth: int = 64
     workers: int = 2
-    rate: float = 50.0  # sustained submits/s per client
-    burst: float = 100.0
-    breaker: BreakerConfig = BreakerConfig()
     task_timeout: float | None = None  # default per-attempt watchdog
     max_retries: int = 1
     isolate: bool = True  # process-per-attempt (False: inline, for tests)
@@ -161,9 +151,6 @@ class SimulationService:
         self.journal = journal
         self.faults = faults
         self._clock = clock
-        self.breaker = CircuitBreaker(self.config.breaker, clock=clock)
-        self.limiter = RateLimiter(self.config.rate, self.config.burst,
-                                   clock=clock)
         # Reentrant: counter/sample helpers are called both inside and
         # outside admission's critical section.
         self._lock = threading.RLock()
@@ -238,8 +225,7 @@ class SimulationService:
             request = record.get("request")
             if not isinstance(request, dict):
                 continue
-            status, _, _ = self.submit(request, client="--resume",
-                                       rate_limited=False)
+            status, _, _ = self.submit(request)
             if status in (200, 202):
                 count += 1
                 self._count("resumed")
@@ -247,8 +233,7 @@ class SimulationService:
 
     # -- admission --------------------------------------------------------
 
-    def submit(self, request: dict, *, client: str = "unknown",
-               rate_limited: bool = True) -> tuple[int, dict, dict[str, str]]:
+    def submit(self, request: dict) -> tuple[int, dict, dict[str, str]]:
         """The layered admission path.
 
         Returns ``(http_status, body, extra_headers)``.  Every accepted
@@ -258,6 +243,7 @@ class SimulationService:
         t0 = time.perf_counter_ns()  # repro: allow(wall-clock) — request latency measurement
         try:
             task = self.resolve(request)
+            budget = _budget(request)
         except ServeRequestError as exc:
             self._count("rejected_bad_request")
             return 400, {"error": str(exc)}, {}
@@ -295,24 +281,13 @@ class SimulationService:
             self._emit_span("serve/hit", t0)
             return 200, job.public(), {}
 
-        # Layer 2a: per-client rate limit (cache hits are never limited —
-        # absorbing identical traffic is the service's whole point).
-        if rate_limited:
-            retry_after = self.limiter.try_acquire(client)
-            if retry_after > 0:
-                self._count("rejected_rate")
-                return 429, {
-                    "error": f"client {client!r} over rate limit",
-                    "retry_after_s": round(retry_after, 3),
-                }, {"Retry-After": str(max(1, round(retry_after)))}
-
         with self._lock:
             # Drain/stop: no new pool work, hits above still served.
             if self._draining or self._stopped:
                 self._count("rejected_draining")
                 return 503, {"error": "service is draining"}, {"Retry-After": "30"}
 
-            # Layer 2b: bounded queue backpressure.
+            # Layer 2: bounded queue backpressure.
             if len(self._queue) >= self.config.queue_depth:
                 self._count("rejected_queue_full")
                 retry_after = self._drain_estimate_locked()
@@ -322,32 +297,10 @@ class SimulationService:
                     "retry_after_s": round(retry_after, 3),
                 }, {"Retry-After": str(max(1, round(retry_after)))}
 
-            # Layer 3: circuit breaker — while open, degraded
-            # cache-hit-only mode instead of feeding a broken pool.
-            if not self.breaker.allow():
-                self._count("rejected_breaker")
-                retry_after = self.breaker.retry_after()
-                return 503, {
-                    "error": "pool circuit breaker is open "
-                             "(degraded: cache hits only)",
-                    "breaker": self.breaker.snapshot(),
-                    "retry_after_s": round(retry_after, 3),
-                }, {"Retry-After": str(max(1, round(retry_after)))}
-
-            # Admitted.  Layer 4: capture the deadline budget.
+            # Admitted.  Layer 3: capture the deadline budget.
             job = Job(id=job_id, key=key, task=task, request=dict(request),
                       submitted_at=self._clock())
-            job.probe = self.breaker.state != "closed"
-            timeout_s = request.get("timeout_s")
-            if timeout_s is not None:
-                try:
-                    budget = float(timeout_s)
-                except (TypeError, ValueError):
-                    self._count("rejected_bad_request")
-                    return 400, {"error": f"bad timeout_s: {timeout_s!r}"}, {}
-                if budget <= 0:
-                    self._count("rejected_bad_request")
-                    return 400, {"error": f"timeout_s must be > 0, got {budget}"}, {}
+            if budget is not None:
                 job.deadline = job.submitted_at + budget
             self._jobs[job_id] = job
             self._inflight[key] = job
@@ -398,26 +351,17 @@ class SimulationService:
         return 200, body
 
     def health(self) -> tuple[int, dict]:
-        breaker = self.breaker.snapshot()
         with self._lock:
             depth = len(self._queue)
             running = sum(1 for job in self._inflight.values()
                           if job.status == JOB_RUNNING)
             draining = self._draining
-        if draining:
-            status = "draining"
-        elif breaker["state"] != "closed":
-            status = "degraded"
-        else:
-            status = "ok"
         return 200, {
-            "status": status,
+            "status": "draining" if draining else "ok",
             "uptime_s": round(self._clock() - self._started_at, 3),
-            "breaker": breaker,
             "queue": {"depth": depth, "capacity": self.config.queue_depth},
             "running": running,
             "workers": self.config.workers,
-            "limiter": self.limiter.snapshot(),
             "counters": self.counters(),
             "fingerprint": self.cache.fingerprint,
         }
@@ -449,7 +393,6 @@ class SimulationService:
             "fingerprint": self.cache.fingerprint,
             "counters": counters,
             "stages": stages,
-            "breaker": self.breaker.snapshot(),
         }
 
     # -- execution --------------------------------------------------------
@@ -476,7 +419,7 @@ class SimulationService:
 
     def _execute_job(self, job: Job) -> None:
         t0 = time.perf_counter_ns()  # repro: allow(wall-clock) — request latency measurement
-        # Layer 4: the remaining deadline budget bounds the watchdog.
+        # Layer 3: the remaining deadline budget bounds the watchdog.
         timeout = self.config.task_timeout
         if job.deadline is not None:
             remaining = job.deadline - self._clock()
@@ -528,8 +471,8 @@ class SimulationService:
         Every Job field write happens under the service lock — handler
         threads, other workers, and drain read these fields concurrently
         (``check --only races`` verifies the guard) — while the journal,
-        breaker, and counters, which take their own locks, are called
-        outside it so the acquisition order stays acyclic.  ``settled``
+        which takes its own lock, is written outside it so the
+        acquisition order stays acyclic.  ``settled``
         fires last, once the terminal state is visible.
         """
         with self._lock:
@@ -549,10 +492,8 @@ class SimulationService:
             self.journal.record(job.task.label, status=journal_status,
                                 key=job.key, attempts=journal_attempts)
         if status == JOB_DONE:
-            self.breaker.record_success()
             self._count("completed")
         elif status == JOB_QUARANTINED:
-            self.breaker.record_failure()
             self._count("quarantined")
         else:
             self._count("expired")
@@ -592,6 +533,22 @@ class SimulationService:
             name=name, start_ns=start_ns, dur_ns=end_ns - start_ns,
             pid=os.getpid(), depth=0,
         )])
+
+
+def _budget(request: dict) -> float | None:
+    """The request's ``timeout_s`` deadline budget in seconds (None: no
+    budget), or :class:`ServeRequestError` when it is not a positive
+    number."""
+    timeout_s = request.get("timeout_s")
+    if timeout_s is None:
+        return None
+    try:
+        budget = float(timeout_s)
+    except (TypeError, ValueError):
+        raise ServeRequestError(f"bad timeout_s: {timeout_s!r}") from None
+    if not budget > 0:
+        raise ServeRequestError(f"timeout_s must be > 0, got {budget}")
+    return budget
 
 
 def _jsonable(value: Any) -> Any:

@@ -2,7 +2,32 @@
 
 import pytest
 
-from repro.serve.cli import main
+from repro.serve.cli import build_parser, main
+
+#: Every option ``repro serve`` accepts.  Admission knobs beyond the
+#: queue depth were removed on purpose; re-adding one must change this
+#: set.
+SERVE_OPTIONS = {
+    "-h", "--help", "--host", "--port", "--workers", "--queue-depth",
+    "--drain-grace", "--ready-file", "--summary-out", "--verbose",
+    "--cache-dir", "--task-timeout", "--max-retries", "--inject",
+    "--resume",
+}
+
+
+def test_option_strings_are_pinned():
+    options = {option for action in build_parser()._actions
+               for option in action.option_strings}
+    assert options == SERVE_OPTIONS
+
+
+@pytest.mark.parametrize("flags", [["--rate", "5"],
+                                   ["--breaker-threshold", "2"]])
+def test_removed_knobs_are_usage_errors(flags, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--port", "0", "--cache-dir", str(tmp_path / "cache"), *flags])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

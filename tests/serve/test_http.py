@@ -2,8 +2,9 @@
 
 These are the acceptance-criteria tests: 32 concurrent clients at a
 90/10 hit/miss mix with zero dropped requests and low-millisecond hit
-latency, and an injected pool outage that degrades the service to
-cache-hit-only mode until the breaker recovers — all over real sockets.
+latency, and injected pool failures that quarantine their own jobs
+while the daemon keeps admitting healthy work — over real sockets and
+straight against the service.
 """
 
 import json
@@ -17,8 +18,7 @@ import pytest
 from repro.faults import FaultPlan
 from repro.runner import ResultCache, RunJournal
 from repro.runner.core import Task
-from repro.serve import BreakerConfig, ServeRequestError, ServiceConfig, \
-    SimulationService
+from repro.serve import ServeRequestError, ServiceConfig, SimulationService
 from repro.serve.http import make_server
 from repro.serve.loadtest import LoadtestClient, run_loadtest
 
@@ -38,19 +38,20 @@ def _toy_resolve(request):
     return Task("toy", f"n={kwargs['n']}", _toy_fn, kwargs)
 
 
+#: The one config the daemon fixture's fault plan crashes.
+CRASH_N = 91
+
+
 @pytest.fixture
 def daemon(tmp_path):
     """A live in-process daemon; yields ``(url, service)``."""
     cache = ResultCache(tmp_path / "cache", fingerprint="f" * 64)
-    config = ServiceConfig(
-        workers=2, isolate=False, queue_depth=256,
-        rate=10_000.0, burst=10_000.0,
-        breaker=BreakerConfig(failure_threshold=2, reset_timeout_s=0.3),
-        max_retries=0,
-    )
+    config = ServiceConfig(workers=2, isolate=False, queue_depth=256,
+                           max_retries=0)
     service = SimulationService(
         _toy_resolve, cache, config=config,
         journal=RunJournal(cache.root, cache.fingerprint),
+        faults=FaultPlan.parse([f"toy/n={CRASH_N}=crash"]),
     )
     service.start()
     server = make_server(service, "127.0.0.1", 0)
@@ -68,7 +69,7 @@ def daemon(tmp_path):
 class TestEndpoints:
     def test_submit_status_result_roundtrip(self, daemon):
         url, _ = daemon
-        client = LoadtestClient(url, "t")
+        client = LoadtestClient(url)
         status, reply, _ = client.call("POST", "/submit", {"n": 3})
         assert status in (200, 202)
         job_id = reply["id"]
@@ -85,17 +86,16 @@ class TestEndpoints:
 
     def test_health_and_metrics(self, daemon):
         url, _ = daemon
-        client = LoadtestClient(url, "t")
+        client = LoadtestClient(url)
         status, health, _ = client.call("GET", "/health")
         assert status == 200 and health["status"] == "ok"
-        assert health["breaker"]["state"] == "closed"
         status, metrics, _ = client.call("GET", "/metrics")
         assert status == 200
         assert metrics["kind"] == "bench" and metrics["subsystem"] == "serve"
 
     def test_unknown_endpoint_and_job(self, daemon):
         url, _ = daemon
-        client = LoadtestClient(url, "t")
+        client = LoadtestClient(url)
         assert client.call("GET", "/nope")[0] == 404
         assert client.call("POST", "/nope", {})[0] == 404
         assert client.call("GET", "/result/zzz")[0] == 404
@@ -111,7 +111,7 @@ class TestEndpoints:
         except urllib.error.HTTPError as exc:
             status = exc.code
         assert status == 400
-        client = LoadtestClient(url, "t")
+        client = LoadtestClient(url)
         assert client.call("POST", "/submit", {"wrong": 1})[0] == 400
 
 
@@ -147,72 +147,58 @@ class TestLoadtest:
         assert summary["kind"] == "bench"
         json.dumps(summary)
 
-    def test_pool_outage_degrades_then_recovers(self, tmp_path):
-        # --inject through the HTTP path: consecutive worker failures
-        # open the breaker (degraded cache-hit-only service), and after
-        # the reset timeout a healthy probe closes it again.
-        cache = ResultCache(tmp_path / "cache", fingerprint="f" * 64)
-        config = ServiceConfig(
-            workers=1, isolate=False, rate=10_000.0, burst=10_000.0,
-            breaker=BreakerConfig(failure_threshold=2, reset_timeout_s=0.3),
-            max_retries=0,
-        )
-        service = SimulationService(
-            _toy_resolve, cache, config=config,
-            journal=RunJournal(cache.root, cache.fingerprint),
-            faults=FaultPlan.parse(["toy/n=9*=raise"]),
-        )
-        service.start()
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
-        client = LoadtestClient(url, "t")
-        try:
-            # Warm a key while the pool is healthy.
-            status, reply, _ = client.call("POST", "/submit", {"n": 1})
-            self._await_terminal(client, reply["id"])
 
-            # Two faulted configs quarantine back to back -> breaker opens.
-            for n in (90, 91):
-                status, reply, _ = client.call("POST", "/submit", {"n": n})
-                assert status in (200, 202)
-                final = self._await_terminal(client, reply["id"])
-                assert final["status"] == "quarantined"
-            status, health, _ = client.call("GET", "/health")
-            assert health["breaker"]["state"] == "open"
-            assert health["status"] == "degraded"
+class TestPoolFailures:
+    @pytest.mark.parametrize("transport", ["service", "http"])
+    def test_quarantines_never_close_admission(self, daemon, transport):
+        # Consecutive pool failures (a raising task and an injected
+        # worker crash), with a malformed budget submitted between
+        # them, quarantine only their own jobs: the next healthy miss
+        # is admitted and finishes, and the daemon reports itself ok.
+        url, service = daemon
+        call = (_direct(service) if transport == "service"
+                else LoadtestClient(url).call)
+        for request, kind in (({"n": 90, "fail": True}, "exception"),
+                              ({"n": CRASH_N}, "crash"),
+                              ({"n": 92, "fail": True}, "exception")):
+            status, reply, _ = call("POST", "/submit", request)
+            assert status == 202
+            final = _await_terminal(call, reply["id"])
+            assert final["status"] == "quarantined"
+            assert final["failure"]["kind"] == kind
+            status, _, _ = call("POST", "/submit",
+                                {"n": 93, "timeout_s": "soon"})
+            assert status == 400
 
-            # Degraded mode over HTTP: misses 503 + Retry-After, hits 200.
-            status, reply, headers = client.call("POST", "/submit", {"n": 2})
-            assert status == 503 and "Retry-After" in headers
-            assert reply["breaker"]["state"] == "open"
-            status, reply, _ = client.call("POST", "/submit", {"n": 1})
-            assert status == 200 and reply["source"] == "cache"
+        status, reply, _ = call("POST", "/submit", {"n": 94})
+        assert status == 202
+        assert _await_terminal(call, reply["id"])["status"] == "done"
+        status, health, _ = call("GET", "/health")
+        assert status == 200 and health["status"] == "ok"
+        assert health["counters"]["quarantined"] == 3
+        assert health["counters"]["rejected_bad_request"] == 3
 
-            # After the reset timeout a healthy probe closes the breaker.
-            time.sleep(0.35)
-            status, reply, _ = client.call("POST", "/submit", {"n": 2})
-            assert status in (200, 202)
-            final = self._await_terminal(client, reply["id"])
-            assert final["status"] == "done"
-            status, health, _ = client.call("GET", "/health")
-            assert health["breaker"]["state"] == "closed"
-            assert health["status"] == "ok"
-            assert health["counters"]["rejected_breaker"] >= 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.drain(1.0)
 
-    @staticmethod
-    def _await_terminal(client, job_id, timeout_s=10.0):
-        deadline = time.monotonic() + timeout_s  # repro: allow(wall-clock) — test deadline
-        while time.monotonic() < deadline:  # repro: allow(wall-clock) — test deadline
-            status, reply, _ = client.call("GET", f"/result/{job_id}")
-            if status == 200 and reply["status"] in (
-                    "done", "quarantined", "expired"):
-                return reply
-            time.sleep(0.02)
-        raise AssertionError(f"job {job_id} never settled")
+def _direct(service):
+    """``LoadtestClient.call`` for the endpoints used here, served by
+    the service itself instead of over a socket."""
+
+    def call(method, path, body=None):
+        if path == "/submit":
+            return service.submit(body)
+        if path == "/health":
+            return (*service.health(), {})
+        return (*service.result(path[len("/result/"):]), {})
+
+    return call
+
+
+def _await_terminal(call, job_id, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s  # repro: allow(wall-clock) — test deadline
+    while time.monotonic() < deadline:  # repro: allow(wall-clock) — test deadline
+        status, reply, _ = call("GET", f"/result/{job_id}")
+        if status == 200 and reply["status"] in (
+                "done", "quarantined", "expired"):
+            return reply
+        time.sleep(0.02)
+    raise AssertionError(f"job {job_id} never settled")

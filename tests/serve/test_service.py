@@ -2,23 +2,17 @@
 
 Everything runs inline (``isolate=False``) with real worker threads
 over a toy resolver, so the tests exercise the real queue, journal,
-cache, and breaker wiring at thread speed.
+cache, and supervision wiring at thread speed.
 """
 
 import time
 
 import pytest
 
-from repro.faults import FaultPlan
 from repro.runner import ResultCache, RunJournal
 from repro.runner.core import Task
-from repro.serve import (
-    BreakerConfig,
-    ServeRequestError,
-    ServiceConfig,
-    SimulationService,
-)
-from repro.serve.service import JOB_DONE, JOB_EXPIRED, JOB_QUARANTINED
+from repro.serve import ServeRequestError, ServiceConfig, SimulationService
+from repro.serve.service import JOB_DONE, JOB_EXPIRED
 
 SETTLE_S = 10.0  # generous per-event wait; tests finish in milliseconds
 
@@ -41,21 +35,15 @@ def _toy_resolve(request):
     return Task("toy", f"n={kwargs['n']}", _toy_fn, kwargs)
 
 
-def _service(tmp_path, *, faults=None, journal=True, clock=None, **over):
+def _service(tmp_path, *, journal=True, **over):
     cache = ResultCache(tmp_path / "cache", fingerprint="f" * 64)
     over.setdefault("workers", 1)
     over.setdefault("isolate", False)
-    over.setdefault("rate", 10_000.0)
-    over.setdefault("burst", 10_000.0)
-    over.setdefault("breaker", BreakerConfig(failure_threshold=2,
-                                             reset_timeout_s=60.0))
     config = ServiceConfig(**over)
-    extra = {} if clock is None else {"clock": clock}
     service = SimulationService(
         _toy_resolve, cache, config=config,
         journal=RunJournal(cache.root, cache.fingerprint) if journal
         else None,
-        faults=faults, **extra,
     )
     service.start()
     return service
@@ -69,22 +57,11 @@ def _settle(service, body):
     return job
 
 
-class FakeClock:
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 class TestSubmitBasics:
     def test_miss_then_result(self, tmp_path):
         service = _service(tmp_path)
         try:
-            status, body, _ = service.submit({"n": 3}, client="t")
+            status, body, _ = service.submit({"n": 3})
             assert status == 202 and body["id"]
             job = _settle(service, body)
             assert job.status == JOB_DONE
@@ -97,9 +74,9 @@ class TestSubmitBasics:
     def test_second_submit_is_a_cache_hit(self, tmp_path):
         service = _service(tmp_path)
         try:
-            _, body, _ = service.submit({"n": 4}, client="t")
+            _, body, _ = service.submit({"n": 4})
             _settle(service, body)
-            status, reply, _ = service.submit({"n": 4}, client="t")
+            status, reply, _ = service.submit({"n": 4})
             assert status == 200
             assert reply["status"] == "done" and reply["source"] == "cache"
             assert service.counters()["hits"] == 1
@@ -111,13 +88,13 @@ class TestSubmitBasics:
         # daemon over the same cache — answers without the pool.
         first = _service(tmp_path)
         try:
-            _, body, _ = first.submit({"n": 5}, client="t")
+            _, body, _ = first.submit({"n": 5})
             _settle(first, body)
         finally:
             first.drain(0.5)
         second = _service(tmp_path)
         try:
-            status, reply, _ = second.submit({"n": 5}, client="t")
+            status, reply, _ = second.submit({"n": 5})
             assert status == 200 and reply["source"] == "cache"
             assert second.counters() == {"hits": 1}
         finally:
@@ -126,16 +103,37 @@ class TestSubmitBasics:
     def test_bad_request_is_400(self, tmp_path):
         service = _service(tmp_path)
         try:
-            status, body, _ = service.submit({"nope": 1}, client="t")
+            status, body, _ = service.submit({"nope": 1})
             assert status == 400 and "error" in body
-            status, body, _ = service.submit(
-                {"n": 1, "timeout_s": "soon"}, client="t")
+            status, body, _ = service.submit({"n": 1, "timeout_s": "soon"})
             assert status == 400
-            status, body, _ = service.submit(
-                {"n": 1, "timeout_s": 0}, client="t")
+            status, body, _ = service.submit({"n": 1, "timeout_s": 0})
             assert status == 400
         finally:
             service.drain(0.5)
+
+    @pytest.mark.parametrize("timeout_s", ["soon", 0, -1])
+    @pytest.mark.parametrize("path", ["hit", "coalesced", "miss"])
+    def test_bad_timeout_is_400_on_every_path(self, tmp_path, path,
+                                              timeout_s):
+        # The budget is validated before collapse and the cache lookup,
+        # so a hit or a coalesced submit cannot smuggle a bad one past.
+        service = _service(tmp_path)
+        try:
+            request = {"n": 4, "delay_s": 0.3}
+            if path == "hit":
+                _settle(service, service.submit(request)[1])
+            elif path == "coalesced":
+                assert service.submit(request)[0] == 202
+            before = service.counters()
+            status, body, _ = service.submit({**request,
+                                              "timeout_s": timeout_s})
+            assert status == 400 and "timeout_s" in body["error"]
+            after = service.counters()
+            assert after.pop("rejected_bad_request") == 1
+            assert after == before
+        finally:
+            service.drain(1.0)
 
     def test_unknown_job_is_404(self, tmp_path):
         service = _service(tmp_path)
@@ -150,9 +148,8 @@ class TestCoalescing:
     def test_identical_inflight_submits_collapse(self, tmp_path):
         service = _service(tmp_path)
         try:
-            _, body, _ = service.submit({"n": 7, "delay_s": 0.3}, client="a")
-            status, dup, _ = service.submit({"n": 7, "delay_s": 0.3},
-                                            client="b")
+            _, body, _ = service.submit({"n": 7, "delay_s": 0.3})
+            status, dup, _ = service.submit({"n": 7, "delay_s": 0.3})
             assert status == 200
             assert dup["id"] == body["id"]
             assert dup["coalesced"] == 1
@@ -168,17 +165,16 @@ class TestBackpressure:
     def test_queue_full_is_429_with_retry_after(self, tmp_path):
         service = _service(tmp_path, queue_depth=1, workers=1)
         try:
-            _, blocker, _ = service.submit({"n": 1, "delay_s": 0.4},
-                                           client="t")
+            _, blocker, _ = service.submit({"n": 1, "delay_s": 0.4})
             # Wait until the worker picked the blocker up, so the next
             # submit deterministically occupies the queue's single slot.
             deadline = time.monotonic() + SETTLE_S  # repro: allow(wall-clock) — test deadline
             while service.job(blocker["id"]).status == "queued":
                 assert time.monotonic() < deadline  # repro: allow(wall-clock) — test deadline
                 time.sleep(0.005)
-            status, queued, _ = service.submit({"n": 2}, client="t")
+            status, queued, _ = service.submit({"n": 2})
             assert status == 202
-            status, body, headers = service.submit({"n": 3}, client="t")
+            status, body, headers = service.submit({"n": 3})
             assert status == 429
             assert body["queue_depth"] == 1
             assert float(headers["Retry-After"]) >= 1
@@ -189,104 +185,13 @@ class TestBackpressure:
         finally:
             service.drain(1.0)
 
-    def test_rate_limit_is_429_and_hits_are_exempt(self, tmp_path):
-        service = _service(tmp_path, rate=1.0, burst=1.0)
-        try:
-            _, body, _ = service.submit({"n": 1}, client="greedy")
-            _settle(service, body)
-            # Bucket for "greedy" is now empty; a new miss is refused...
-            status, body, headers = service.submit({"n": 2}, client="greedy")
-            assert status == 429 and "Retry-After" in headers
-            assert body["retry_after_s"] > 0
-            # ...another client is not...
-            status, _, _ = service.submit({"n": 3}, client="patient")
-            assert status == 202
-            # ...and cache hits are never limited: absorbing identical
-            # traffic is the whole point of the hit path.
-            for _ in range(20):
-                status, reply, _ = service.submit({"n": 1}, client="greedy")
-                assert status == 200 and reply["source"] == "cache"
-        finally:
-            service.drain(1.0)
-
-
-class TestBreaker:
-    def test_outage_degrades_to_cache_hits_then_recovers(self, tmp_path):
-        clock = FakeClock()
-        service = _service(
-            tmp_path, clock=clock,
-            breaker=BreakerConfig(failure_threshold=2, reset_timeout_s=30.0),
-            max_retries=0,
-        )
-        try:
-            # Warm one key while healthy.
-            _, body, _ = service.submit({"n": 1}, client="t")
-            _settle(service, body)
-
-            # Two consecutive quarantines trip the breaker.
-            for n in (90, 91):
-                _, body, _ = service.submit({"n": n, "fail": True},
-                                            client="t")
-                job = _settle(service, body)
-                assert job.status == JOB_QUARANTINED
-                assert job.failure is not None
-            assert service.breaker.state == "open"
-
-            # Degraded mode: misses get 503 + breaker detail, hits serve.
-            status, body, headers = service.submit({"n": 2}, client="t")
-            assert status == 503
-            assert body["breaker"]["state"] == "open"
-            assert "Retry-After" in headers
-            status, reply, _ = service.submit({"n": 1}, client="t")
-            assert status == 200 and reply["source"] == "cache"
-            assert service.health()[1]["status"] == "degraded"
-
-            # Reset timeout elapses -> half-open -> healthy probe closes.
-            clock.advance(30.0)
-            status, body, _ = service.submit({"n": 3}, client="t")
-            assert status == 202
-            job = _settle(service, body)
-            assert job.status == JOB_DONE
-            assert service.breaker.state == "closed"
-            assert service.health()[1]["status"] == "ok"
-
-            # Full admission is restored.
-            status, body, _ = service.submit({"n": 4}, client="t")
-            assert status == 202
-            _settle(service, body)
-        finally:
-            service.drain(1.0)
-
-    def test_injected_faults_flow_through_the_service(self, tmp_path):
-        # The same FaultPlan syntax the batch CLI takes, matched against
-        # service job labels.
-        service = _service(
-            tmp_path,
-            faults=FaultPlan.parse(["toy/n=66=raise"]),
-            breaker=BreakerConfig(failure_threshold=2, reset_timeout_s=60.0),
-            max_retries=0,
-        )
-        try:
-            _, body, _ = service.submit({"n": 66}, client="t")
-            job = _settle(service, body)
-            assert job.status == JOB_QUARANTINED
-            assert job.failure["error_type"] == "InjectedFault"
-            assert service.counters()["quarantined"] == 1
-            # Unmatched labels run healthy.
-            _, body, _ = service.submit({"n": 67}, client="t")
-            assert _settle(service, body).status == JOB_DONE
-        finally:
-            service.drain(1.0)
-
 
 class TestDeadlines:
     def test_budget_expires_while_queued(self, tmp_path):
         service = _service(tmp_path, workers=1)
         try:
-            _, blocker, _ = service.submit({"n": 1, "delay_s": 0.4},
-                                           client="t")
-            status, body, _ = service.submit(
-                {"n": 2, "timeout_s": 0.01}, client="t")
+            _, blocker, _ = service.submit({"n": 1, "delay_s": 0.4})
+            status, body, _ = service.submit({"n": 2, "timeout_s": 0.01})
             assert status == 202
             job = _settle(service, body)
             assert job.status == JOB_EXPIRED
@@ -300,17 +205,17 @@ class TestDeadlines:
 class TestDrainAndResume:
     def test_drain_journals_unfinished_work_for_resume(self, tmp_path):
         service = _service(tmp_path, workers=1)
-        _, running, _ = service.submit({"n": 1, "delay_s": 0.3}, client="t")
-        _, queued, _ = service.submit({"n": 2, "delay_s": 0.3}, client="t")
+        _, running, _ = service.submit({"n": 1, "delay_s": 0.3})
+        _, queued, _ = service.submit({"n": 2, "delay_s": 0.3})
         drained = service.drain(0.0)  # no grace: abandon everything live
         assert drained["abandoned"] >= 1
 
         # Draining admits nothing new.
-        status, _, _ = service.submit({"n": 3}, client="t")
+        status, _, _ = service.submit({"n": 3})
         assert status == 503
 
         # A fresh daemon over the same cache resumes exactly the
-        # abandoned requests (rate limits never block recovery).
+        # abandoned requests.
         revived = _service(tmp_path, workers=1)
         try:
             resumed = revived.resume_pending()
@@ -322,8 +227,7 @@ class TestDrainAndResume:
             assert revived.counters()["resumed"] == resumed
             # Both requests are now terminally done and cached.
             for n in (1, 2):
-                status, reply, _ = revived.submit(
-                    {"n": n, "delay_s": 0.3}, client="t")
+                status, reply, _ = revived.submit({"n": n, "delay_s": 0.3})
                 assert status == 200 and reply["source"] == "cache"
         finally:
             revived.drain(1.0)
@@ -331,7 +235,7 @@ class TestDrainAndResume:
     def test_resume_with_clean_journal_is_a_noop(self, tmp_path):
         service = _service(tmp_path)
         try:
-            _, body, _ = service.submit({"n": 9}, client="t")
+            _, body, _ = service.submit({"n": 9})
             _settle(service, body)
             assert service.journal.pending() == []
             assert service.resume_pending() == 0
@@ -343,9 +247,9 @@ class TestObservability:
     def test_summary_is_bench_shaped(self, tmp_path):
         service = _service(tmp_path)
         try:
-            _, body, _ = service.submit({"n": 11}, client="t")
+            _, body, _ = service.submit({"n": 11})
             _settle(service, body)
-            service.submit({"n": 11}, client="t")  # hit
+            service.submit({"n": 11})  # hit
             summary = service.service_summary()
             assert summary["schema"] == 1 and summary["kind"] == "bench"
             assert summary["subsystem"] == "serve"
@@ -362,7 +266,6 @@ class TestObservability:
             status, body = service.health()
             assert status == 200 and body["status"] == "ok"
             assert body["queue"] == {"depth": 0, "capacity": 64}
-            assert body["breaker"]["state"] == "closed"
             assert body["fingerprint"] == "f" * 64
         finally:
             service.drain(1.0)
@@ -375,7 +278,7 @@ class TestObservability:
 
     def test_config_rejects_what_the_batch_clis_reject(self):
         # Otherwise the bad policy surfaces per job: every miss is
-        # quarantined as an exception and trips the breaker.
+        # quarantined as an exception.
         with pytest.raises(ValueError, match="task_timeout"):
             ServiceConfig(task_timeout=0)
         with pytest.raises(ValueError, match="max_retries"):
