@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""CI gate for the vectorized cache fast paths: exactness and speedup.
+"""CI gate for the fast paths (vectorized caches, compiled GSPN
+evaluator): exactness and speedup.
 
-Three properties, all hard requirements:
+Four properties, all hard requirements:
 
 - **Exactness** — on a realistic mixed workload (SPEC proxy traces),
   the fast engines must produce results identical to the
@@ -21,6 +22,12 @@ Three properties, all hard requirements:
   (10x) or more over the pinned pre-fast-path baseline throughputs
   from ``BENCH_75d8751ff721.json``.  Both records come from the same
   benchmarking host, so the ratio is machine-independent in CI.
+- **GSPN stream identity** — :class:`repro.gspn.sim.GSPNSimulator` must
+  return the same ``SimResult`` and leave the RNG in the same state as
+  the textbook evaluator kept in ``tests/gspn/reference_sim.py``, on the
+  integrated and conventional Figure 10 nets and a tracked Section 5.6
+  4-bank run, and beat it by ``MIN_GSPN_SPEEDUP`` in process CPU time
+  measured in this process (a ratio, so no wall-clock gate).
 
 Run directly::
 
@@ -39,11 +46,14 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(1, str(REPO_ROOT))  # tests.gspn.reference_sim
 
 TRACE_LEN = 120_000
 PROXIES = ("126.gcc", "101.tomcatv", "134.perl")
 MIN_INPROCESS_SPEEDUP = 3.0
 MIN_BENCH_SPEEDUP = 10.0
+MIN_GSPN_SPEEDUP = 2.0
+GSPN_INSTRUCTIONS = 6_000
 # Pre-fast-path pipeline throughputs (refs/s), pinned from
 # artifacts/bench/BENCH_75d8751ff721.json: the per-reference
 # object-oriented simulators behind the Figure 7/8 and Section 5.5
@@ -161,6 +171,52 @@ def check_measurement(trace_len: int) -> dict:
     return {"failures": failures}
 
 
+def check_gspn(instructions: int) -> dict:
+    """Compiled evaluator vs. the reference token game: identical
+    results and RNG state, and the in-process CPU-time ratio."""
+    from repro.common.rng import make_rng
+    from repro.gspn.models import ISSUE_TRANSITION, bank_ready_place, registered_nets
+    from repro.gspn.sim import GSPNSimulator
+    from tests.gspn.reference_sim import GSPNSimulator as ReferenceSimulator
+
+    def timed_run(engine, net, track):
+        rng = make_rng(0)
+        t0 = time.process_time()
+        result = engine(net, rng, track_places=track).run(
+            stop_transition=ISSUE_TRANSITION, stop_count=instructions
+        )
+        return result, rng.bit_generator.state, time.process_time() - t0
+
+    nets = registered_nets()
+    cases = (
+        ("fig10.integrated", ()),
+        ("fig10.conventional", ()),
+        ("sec5.6.banks4", tuple(bank_ready_place(b) for b in range(4))),
+    )
+    firings = 0
+    fast_s = oracle_s = 0.0
+    failures: list[str] = []
+    for name, track in cases:
+        fast, fast_state, fast_cpu = timed_run(GSPNSimulator, nets[name], track)
+        oracle, oracle_state, oracle_cpu = timed_run(
+            ReferenceSimulator, nets[name], track
+        )
+        firings += fast.events
+        fast_s += fast_cpu
+        oracle_s += oracle_cpu
+        if fast != oracle:
+            failures.append(f"{name}: SimResult differs from the reference")
+        if fast_state != oracle_state:
+            failures.append(f"{name}: RNG state differs from the reference")
+    return {
+        "firings": firings,
+        "fast_cpu_s": fast_s,
+        "oracle_cpu_s": oracle_s,
+        "speedup": oracle_s / fast_s if fast_s else float("inf"),
+        "failures": failures,
+    }
+
+
 def check_published_bench(bench_dir: Path) -> dict:
     """The committed BENCH record must publish the 10x stage speedups.
 
@@ -216,10 +272,12 @@ def main() -> int:
         "schema": 1,
         "min_inprocess_speedup": MIN_INPROCESS_SPEEDUP,
         "min_bench_speedup": MIN_BENCH_SPEEDUP,
+        "min_gspn_speedup": MIN_GSPN_SPEEDUP,
         "trace_len": args.trace_len,
         "column_buffer": check_column_buffer(args.trace_len),
         "two_level": check_two_level(args.trace_len),
         "measurement": check_measurement(args.trace_len),
+        "gspn": check_gspn(GSPN_INSTRUCTIONS),
         "published_bench": check_published_bench(args.bench_dir),
     }
 
@@ -240,6 +298,18 @@ def main() -> int:
                 print(f"ok   {line}")
         elif not entry["failures"]:
             print(f"ok   {stage}: engines identical")
+    gspn = report["gspn"]
+    for failure in gspn["failures"]:
+        print(f"FAIL gspn: {failure}")
+        status = 1
+    line = (f"gspn: {gspn['firings']} firings, compiled {gspn['fast_cpu_s']:.2f}s"
+            f" vs reference {gspn['oracle_cpu_s']:.2f}s CPU"
+            f" -> {gspn['speedup']:.1f}x")
+    if gspn["speedup"] < MIN_GSPN_SPEEDUP:
+        print(f"FAIL {line} (floor is {MIN_GSPN_SPEEDUP:.0f}x)")
+        status = 1
+    else:
+        print(f"ok   {line}" + ("" if gspn["failures"] else ", identical"))
     published = report["published_bench"]
     for failure in published["failures"]:
         print(f"FAIL published bench: {failure}")

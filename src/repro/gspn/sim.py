@@ -11,14 +11,35 @@ The evaluator plays the token game by discrete-event simulation:
    (race-with-restart policy, the standard choice for GSPN tools).
 3. The clock jumps to the earliest timer; that transition fires; repeat.
 
-Enabling checks are incremental: only transitions adjacent to places whose
-marking changed are re-examined, which keeps large bank-array models fast.
+Each net is compiled once, when the simulator is built, into
+per-transition tables: input/output/inhibitor arcs as place-index tuples,
+the kind flags and delay or 1/rate, and the *firing adjacency* — the
+deduplicated transitions whose enabling a firing can change, in
+first-seen order over its input then output places.  The event loop
+(:meth:`GSPNSimulator._play`) runs inline on those tables, so a firing
+re-examines only its neighbours without building any per-event set or
+list.  Weighted conflicts are resolved by bisecting one ``rng.random()``
+draw into a CDF cached per distinct enabled set.
+
+The random stream is exactly that of the textbook token game kept in
+``tests/gspn/reference_sim.py``, so every run returns the same
+:class:`SimResult` and leaves the generator in the same state:
+
+- ``Generator.choice(n, p=w / w.sum())`` draws one ``random()`` and
+  searches it in ``cdf = p.cumsum(); cdf /= cdf[-1]``; the cached CDF is
+  built with those same numpy operations.
+- ``exponential(1 / rate)`` computes ``standard_exponential() * (1 / rate)``.
+- The draws keep their order: the adjacency keeps the order in which
+  timed transitions are refreshed, and the enabled-immediate set sees
+  the same add/discard history, so its iteration order, and with it
+  each conflict's candidate order, is unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +51,10 @@ from repro.common.errors import SimulationError
 from repro.gspn.net import PetriNet, TransitionKind
 
 _MAX_IMMEDIATE_CHAIN = 1_000_000
+# Distinct enabled-immediate sets whose conflict resolution is cached; the
+# registered nets reach fewer than a hundred, so the bound only caps
+# memory on pathological nets.
+_MAX_CONFLICT_SETS = 4096
 
 
 @dataclass
@@ -86,43 +111,82 @@ class GSPNSimulator:
         self._place_names = list(net.initial_marking)
         self._tran_names = list(net.transitions)
         self._tran_ids = {name: i for i, name in enumerate(self._tran_names)}
-        self._kind: list[TransitionKind] = []
-        self._param: list[float] = []
-        self._priority: list[int] = []
-        self._inputs: list[list[tuple[int, int]]] = []
-        self._outputs: list[list[tuple[int, int]]] = []
-        self._inhibitors: list[list[tuple[int, int]]] = []
-        self._affected: list[list[int]] = [[] for _ in self._place_names]
-        for tid, name in enumerate(self._tran_names):
-            tran = net.transitions[name]
-            self._kind.append(tran.kind)
-            self._param.append(tran.param)
-            self._priority.append(tran.priority)
-            self._inputs.append(
-                [(self._place_ids[p], m) for p, m in tran.inputs.items()]
-            )
-            self._outputs.append(
-                [(self._place_ids[p], m) for p, m in tran.outputs.items()]
-            )
-            self._inhibitors.append(
-                [(self._place_ids[p], t) for p, t in tran.inhibitors.items()]
-            )
-            for place, _ in list(tran.inputs.items()) + list(tran.inhibitors.items()):
-                self._affected[self._place_ids[place]].append(tid)
+        for name in track_places:
+            if name not in self._place_ids:
+                raise SimulationError(
+                    f"unknown place {name!r} in track_places of net {net.name!r}"
+                )
         self._track = [self._place_ids[p] for p in track_places]
         self._track_names = list(track_places)
-        # Timed transitions consuming from each tracked place: a running
-        # timer on one of these marks the place's resource as committed
-        # (in service), which feeds the busy_fraction statistic.
-        self._track_consumers = [
-            [
-                tid
-                for tid in range(len(self._tran_names))
-                if self._kind[tid] is not TransitionKind.IMMEDIATE
+
+        # Per-transition tables, indexed by transition id.  A timed
+        # transition has ``_delay`` (deterministic) or ``_scale`` = 1/rate
+        # (exponential); ``_weight``/``_priority`` matter for immediates.
+        self._immediate: list[bool] = []
+        self._delay: list[float | None] = []
+        self._scale: list[float] = []
+        self._weight: list[float] = []
+        self._priority: list[int] = []
+        self._inputs: list[tuple[tuple[int, int], ...]] = []
+        self._outputs: list[tuple[tuple[int, int], ...]] = []
+        self._inhibitors: list[tuple[tuple[int, int], ...]] = []
+        affected: list[list[int]] = [[] for _ in self._place_names]
+        for tid, name in enumerate(self._tran_names):
+            tran = net.transitions[name]
+            self._immediate.append(tran.kind is TransitionKind.IMMEDIATE)
+            deterministic = tran.kind is TransitionKind.DETERMINISTIC
+            exponential = tran.kind is TransitionKind.EXPONENTIAL
+            self._delay.append(tran.param if deterministic else None)
+            self._scale.append(1.0 / tran.param if exponential else 0.0)
+            self._weight.append(tran.param)
+            self._priority.append(tran.priority)
+            self._inputs.append(
+                tuple((self._place_ids[p], m) for p, m in tran.inputs.items())
+            )
+            self._outputs.append(
+                tuple((self._place_ids[p], m) for p, m in tran.outputs.items())
+            )
+            self._inhibitors.append(
+                tuple((self._place_ids[p], t) for p, t in tran.inhibitors.items())
+            )
+            for place in list(tran.inputs) + list(tran.inhibitors):
+                affected[self._place_ids[place]].append(tid)
+
+        # Firing adjacency: the transitions whose enabling may change when
+        # ``tid`` fires, deduplicated in first-seen order over its input
+        # then output places (``tid`` itself is always among them, since
+        # validate() demands an input arc).  Immediate and timed targets
+        # are kept apart; they touch disjoint state (the enabled set vs.
+        # timers and the RNG), so each list keeps the order that matters
+        # to it.
+        self._after_imm: list[tuple[int, ...]] = []
+        self._after_timed: list[tuple[int, ...]] = []
+        for tid in range(len(self._tran_names)):
+            order: dict[int, None] = {}
+            for place, _ in self._inputs[tid] + self._outputs[tid]:
+                order.update(dict.fromkeys(affected[place]))
+            self._after_imm.append(tuple(t for t in order if self._immediate[t]))
+            self._after_timed.append(
+                tuple(t for t in order if not self._immediate[t])
+            )
+
+        # Tracked slots each timed transition consumes from: a running
+        # timer on such a transition marks the slot's resource as
+        # committed (in service), which feeds the busy_fraction statistic.
+        self._slots: list[tuple[int, ...]] = [
+            tuple(
+                slot
+                for slot, place in enumerate(self._track)
+                if not self._immediate[tid]
                 and any(p == place for p, _ in self._inputs[tid])
-            ]
-            for place in self._track
+            )
+            for tid in range(len(self._tran_names))
         ]
+        # Conflict resolution per distinct enabled set (in set order):
+        # the ready transitions and, when there are several, their CDF.
+        self._conflicts: dict[
+            tuple[int, ...], tuple[tuple[int, ...], list[float] | None]
+        ] = {}
         self.reset()
 
     # -- state ------------------------------------------------------------
@@ -134,110 +198,198 @@ class GSPNSimulator:
         self.clock = 0.0
         self.firing_counts = [0] * len(self._tran_names)
         self.events = 0
-        self._timers: dict[int, tuple[float, int]] = {}  # tid -> (time, epoch)
+        # A timer is running exactly while its transition's epoch is odd:
+        # starting and cancelling a timer each bump the epoch, which also
+        # invalidates the timer's heap entry lazily.
         self._epoch = [0] * len(self._tran_names)
         self._heap: list[tuple[float, int, int]] = []  # (time, tid, epoch)
         self._enabled_imm: set[int] = set()
         self._marking_area = [0.0] * len(self._track)
         self._busy_area = [0.0] * len(self._track)
+        self._running = [0] * len(self._track)  # consumer timers per slot
         for tid in range(len(self._tran_names)):
             self._refresh(tid)
 
-    def _is_enabled(self, tid: int) -> bool:
-        marking = self.marking
-        for place, mult in self._inputs[tid]:
-            if marking[place] < mult:
-                return False
-        for place, threshold in self._inhibitors[tid]:
-            if marking[place] >= threshold:
-                return False
-        return True
-
     def _refresh(self, tid: int) -> None:
-        enabled = self._is_enabled(tid)
-        if self._kind[tid] is TransitionKind.IMMEDIATE:
+        """Update one transition's enabling; :meth:`_play` inlines this."""
+        marking = self.marking
+        enabled = all(marking[p] >= m for p, m in self._inputs[tid]) and not any(
+            marking[p] >= t for p, t in self._inhibitors[tid]
+        )
+        if self._immediate[tid]:
             if enabled:
                 self._enabled_imm.add(tid)
             else:
                 self._enabled_imm.discard(tid)
-            return
-        if enabled:
-            if tid not in self._timers:
-                if self._kind[tid] is TransitionKind.DETERMINISTIC:
-                    delay = self._param[tid]
-                else:
-                    delay = self.rng.exponential(1.0 / self._param[tid])
+        elif enabled:
+            if not self._epoch[tid] & 1:
+                delay = self._delay[tid]
+                if delay is None:
+                    delay = self.rng.standard_exponential() * self._scale[tid]
                 self._epoch[tid] += 1
-                entry = (self.clock + delay, self._epoch[tid])
-                self._timers[tid] = entry
-                heapq.heappush(self._heap, (entry[0], tid, entry[1]))
-        elif tid in self._timers:
-            del self._timers[tid]
-            self._epoch[tid] += 1  # invalidates the heap entry lazily
-
-    def _fire(self, tid: int) -> None:
-        marking = self.marking
-        touched: list[int] = []
-        for place, mult in self._inputs[tid]:
-            marking[place] -= mult
-            if marking[place] < 0:
-                raise SimulationError(
-                    f"negative marking at {self._place_names[place]}"
+                heapq.heappush(
+                    self._heap, (self.clock + delay, tid, self._epoch[tid])
                 )
-            touched.append(place)
-        for place, mult in self._outputs[tid]:
-            marking[place] += mult
-            touched.append(place)
-        if tid in self._timers:
-            del self._timers[tid]
+                for slot in self._slots[tid]:
+                    self._running[slot] += 1
+        elif self._epoch[tid] & 1:
             self._epoch[tid] += 1
-        self.firing_counts[tid] += 1
-        self.events += 1
-        seen: set[int] = set()
-        for place in touched:
-            for other in self._affected[place]:
-                if other not in seen:
-                    seen.add(other)
-                    self._refresh(other)
-        if tid not in seen:
-            self._refresh(tid)
+            for slot in self._slots[tid]:
+                self._running[slot] -= 1
 
-    def _settle_immediates(self) -> None:
+    def _conflict(
+        self, enabled: tuple[int, ...]
+    ) -> tuple[tuple[int, ...], list[float] | None]:
+        """The highest-priority transitions of ``enabled`` and their CDF.
+
+        The CDF is computed with the same numpy operations
+        ``Generator.choice(n, p=w / w.sum())`` applies, so bisecting one
+        ``rng.random()`` draw into it picks the index ``choice`` would.
+        """
+        best = max(self._priority[t] for t in enabled)
+        ready = tuple(t for t in enabled if self._priority[t] == best)
+        if len(ready) == 1:
+            return ready, None
+        weights = np.array([self._weight[t] for t in ready])
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return ready, cdf.tolist()
+
+    def _play(
+        self,
+        max_time: float,
+        stop_tid: int | None,
+        stop_count: int,
+        max_events: int,
+    ) -> bool:
+        """The event loop: fire immediates to exhaustion, then the earliest
+        timer, until a stopping rule holds.  True when the net is dead."""
+        marking = self.marking
+        counts = self.firing_counts
+        epoch = self._epoch
+        heap = self._heap
+        enabled_imm = self._enabled_imm
+        conflicts = self._conflicts
+        inputs = self._inputs
+        outputs = self._outputs
+        inhibitors = self._inhibitors
+        after_imm = self._after_imm
+        after_timed = self._after_timed
+        delays = self._delay
+        scales = self._scale
+        slots = self._slots
+        running = self._running
+        tracked = tuple(enumerate(self._track))
+        marking_area = self._marking_area
+        busy_area = self._busy_area
+        random = self.rng.random
+        standard_exponential = self.rng.standard_exponential
+        push = heapq.heappush
+        pop = heapq.heappop
+        clock = self.clock
+        events = self.events
         chain = 0
-        while self._enabled_imm:
-            chain += 1
-            if chain > _MAX_IMMEDIATE_CHAIN:
-                raise SimulationError("immediate-transition livelock")
-            if len(self._enabled_imm) == 1:
-                (tid,) = self._enabled_imm
-            else:
-                best = max(self._priority[t] for t in self._enabled_imm)
-                ready = [t for t in self._enabled_imm if self._priority[t] == best]
-                if len(ready) == 1:
-                    tid = ready[0]
+        deadlocked = False
+        try:
+            while True:
+                if enabled_imm:
+                    chain += 1
+                    if chain > _MAX_IMMEDIATE_CHAIN:
+                        raise SimulationError("immediate-transition livelock")
+                    if len(enabled_imm) == 1:
+                        (tid,) = enabled_imm
+                    else:
+                        key = tuple(enabled_imm)
+                        conflict = conflicts.get(key)
+                        if conflict is None:
+                            if len(conflicts) >= _MAX_CONFLICT_SETS:
+                                conflicts.clear()
+                            conflict = conflicts[key] = self._conflict(key)
+                        ready, cdf = conflict
+                        if cdf is None:
+                            tid = ready[0]
+                        else:
+                            tid = ready[bisect_right(cdf, random())]
                 else:
-                    weights = np.array([self._param[t] for t in ready])
-                    tid = ready[self.rng.choice(len(ready), p=weights / weights.sum())]
-            self._fire(tid)
+                    chain = 0
+                    if not (clock < max_time and events < max_events):
+                        break
+                    if stop_tid is not None and counts[stop_tid] >= stop_count:
+                        break
+                    while heap:
+                        time, tid, stamp = pop(heap)
+                        if stamp == epoch[tid]:
+                            break
+                    else:
+                        deadlocked = True
+                        break
+                    dt = time - clock
+                    if dt:
+                        for slot, place in tracked:
+                            tokens = marking[place]
+                            marking_area[slot] += tokens * dt
+                            if not tokens or running[slot]:
+                                busy_area[slot] += dt
+                    clock = time
+                    epoch[tid] = stamp + 1
+                    for slot in slots[tid]:
+                        running[slot] -= 1
 
-    def _advance(self) -> bool:
-        """Jump to the next timed firing; False when the net is dead."""
-        while self._heap:
-            time, tid, epoch = heapq.heappop(self._heap)
-            current = self._timers.get(tid)
-            if current is None or current[1] != epoch:
-                continue  # stale entry
-            dt = time - self.clock
-            for slot, place in enumerate(self._track):
-                self._marking_area[slot] += self.marking[place] * dt
-                if self.marking[place] == 0 or any(
-                    t in self._timers for t in self._track_consumers[slot]
-                ):
-                    self._busy_area[slot] += dt
-            self.clock = time
-            self._fire(tid)
-            return True
-        return False
+                # Fire ``tid``.
+                for place, mult in inputs[tid]:
+                    left = marking[place] - mult
+                    if left < 0:
+                        raise SimulationError(
+                            f"negative marking at {self._place_names[place]}"
+                        )
+                    marking[place] = left
+                for place, mult in outputs[tid]:
+                    marking[place] += mult
+                counts[tid] += 1
+                events += 1
+
+                # Refresh the enabling of every transition it may affect.
+                for other in after_imm[tid]:
+                    for place, mult in inputs[other]:
+                        if marking[place] < mult:
+                            enabled_imm.discard(other)
+                            break
+                    else:
+                        for place, threshold in inhibitors[other]:
+                            if marking[place] >= threshold:
+                                enabled_imm.discard(other)
+                                break
+                        else:
+                            enabled_imm.add(other)
+                for other in after_timed[tid]:
+                    for place, mult in inputs[other]:
+                        if marking[place] < mult:
+                            enabled = False
+                            break
+                    else:
+                        enabled = True
+                        for place, threshold in inhibitors[other]:
+                            if marking[place] >= threshold:
+                                enabled = False
+                                break
+                    stamp = epoch[other]
+                    if enabled:
+                        if not stamp & 1:
+                            delay = delays[other]
+                            if delay is None:
+                                delay = standard_exponential() * scales[other]
+                            epoch[other] = stamp + 1
+                            push(heap, (clock + delay, other, stamp + 1))
+                            for slot in slots[other]:
+                                running[slot] += 1
+                    elif stamp & 1:
+                        epoch[other] = stamp + 1
+                        for slot in slots[other]:
+                            running[slot] -= 1
+        finally:
+            self.clock = clock
+            self.events = events
+        return deadlocked
 
     # -- driving ----------------------------------------------------------
 
@@ -270,16 +422,8 @@ class GSPNSimulator:
         clock_before = self.clock
         marking_area_before = list(self._marking_area)
         busy_area_before = list(self._busy_area)
-        deadlocked = False
         with obs.span(f"gspn/run/{self.net.name}"):
-            self._settle_immediates()
-            while self.clock < max_time and self.events < max_events:
-                if stop_tid is not None and self.firing_counts[stop_tid] >= stop_count:
-                    break
-                if not self._advance():
-                    deadlocked = True
-                    break
-                self._settle_immediates()
+            deadlocked = self._play(max_time, stop_tid, stop_count, max_events)
             tally.add("gspn_firings", self.events - events_before)
         window = self.clock - clock_before
         mean_marking = {

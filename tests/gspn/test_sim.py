@@ -49,6 +49,10 @@ class TestDeterministicTiming:
         with pytest.raises(SimulationError):
             sim.run(stop_transition="nope", stop_count=1)
 
+    def test_unknown_track_place_rejected(self):
+        with pytest.raises(SimulationError, match="'nope'.*'ring'"):
+            GSPNSimulator(_ring_net(), make_rng(0), track_places=("p0", "nope"))
+
     def test_stop_count_zero_rejected(self):
         # The default stop_count=0 with a stop_transition used to return
         # immediately (0 firings >= 0 is already true) and masquerade as a
