@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI gate for the fast paths (vectorized caches, compiled GSPN
-evaluator): exactness and speedup.
+evaluator, flattened MP engine): exactness and speedup.
 
-Four properties, all hard requirements:
+Five properties, all hard requirements:
 
 - **Exactness** — on a realistic mixed workload (SPEC proxy traces),
   the fast engines must produce results identical to the
@@ -28,6 +28,13 @@ Four properties, all hard requirements:
   integrated and conventional Figure 10 nets and a tracked Section 5.6
   4-bank run, and beat it by ``MIN_GSPN_SPEEDUP`` in process CPU time
   measured in this process (a ratio, so no wall-clock gate).
+- **MP engine exactness** — :class:`repro.mp.engine.MPEngine` must leave
+  the same snapshot (``MPResult``, access statistics by level, fabric,
+  directory, every node's cache counters and contents) as the
+  step-by-step engine kept in ``tests/mp/reference_mp.py``, on the five
+  SPLASH kernels of Figures 13-17 at 4 processors on the integrated and
+  reference systems, and beat it by ``MIN_MP_SPEEDUP`` in process CPU
+  time.
 
 Run directly::
 
@@ -46,7 +53,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(1, str(REPO_ROOT))  # tests.gspn.reference_sim
+sys.path.insert(1, str(REPO_ROOT))  # tests.gspn / tests.mp oracles
 
 TRACE_LEN = 120_000
 PROXIES = ("126.gcc", "101.tomcatv", "134.perl")
@@ -54,6 +61,8 @@ MIN_INPROCESS_SPEEDUP = 3.0
 MIN_BENCH_SPEEDUP = 10.0
 MIN_GSPN_SPEEDUP = 2.0
 GSPN_INSTRUCTIONS = 6_000
+MIN_MP_SPEEDUP = 1.3
+MP_PROCS = 4
 # Pre-fast-path pipeline throughputs (refs/s), pinned from
 # artifacts/bench/BENCH_75d8751ff721.json: the per-reference
 # object-oriented simulators behind the Figure 7/8 and Section 5.5
@@ -217,6 +226,51 @@ def check_gspn(instructions: int) -> dict:
     }
 
 
+def check_mp() -> dict:
+    """Flattened MP engine vs. the reference copy: identical snapshots,
+    and the in-process CPU-time ratio."""
+    from repro.analysis.experiments import PAPER_SPLASH_KERNELS
+    from repro.mp.engine import MPEngine
+    from repro.mp.system import MPSystem, SystemKind
+    from repro.workloads.splash import KERNELS
+    from tests.mp import reference_mp
+    from tests.mp.snapshot import snapshot
+
+    def timed_run(engine_cls, system_cls, kind, name):
+        kernel = KERNELS[name]()
+        system = system_cls(MP_PROCS, kind)
+        factory = kernel.build(MP_PROCS, system.layout)
+        t0 = time.process_time()
+        result = engine_cls(system).run(factory)
+        cpu = time.process_time() - t0
+        return snapshot(result, system), result.total_ops, cpu
+
+    ops = 0
+    fast_s = oracle_s = 0.0
+    failures: list[str] = []
+    for name in PAPER_SPLASH_KERNELS:
+        for kind in (SystemKind.INTEGRATED, SystemKind.REFERENCE):
+            fast, fast_ops, fast_cpu = timed_run(MPEngine, MPSystem, kind, name)
+            oracle, _, oracle_cpu = timed_run(
+                reference_mp.MPEngine, reference_mp.MPSystem,
+                reference_mp.SystemKind(kind.value), name,
+            )
+            ops += fast_ops
+            fast_s += fast_cpu
+            oracle_s += oracle_cpu
+            if fast != oracle:
+                differing = sorted(k for k in fast if fast[k] != oracle[k])
+                failures.append(f"{name}/{kind.value}: {differing} differ "
+                                "from the reference engine")
+    return {
+        "ops": ops,
+        "fast_cpu_s": fast_s,
+        "oracle_cpu_s": oracle_s,
+        "speedup": oracle_s / fast_s if fast_s else float("inf"),
+        "failures": failures,
+    }
+
+
 def check_published_bench(bench_dir: Path) -> dict:
     """The committed BENCH record must publish the 10x stage speedups.
 
@@ -273,11 +327,13 @@ def main() -> int:
         "min_inprocess_speedup": MIN_INPROCESS_SPEEDUP,
         "min_bench_speedup": MIN_BENCH_SPEEDUP,
         "min_gspn_speedup": MIN_GSPN_SPEEDUP,
+        "min_mp_speedup": MIN_MP_SPEEDUP,
         "trace_len": args.trace_len,
         "column_buffer": check_column_buffer(args.trace_len),
         "two_level": check_two_level(args.trace_len),
         "measurement": check_measurement(args.trace_len),
         "gspn": check_gspn(GSPN_INSTRUCTIONS),
+        "mp": check_mp(),
         "published_bench": check_published_bench(args.bench_dir),
     }
 
@@ -310,6 +366,18 @@ def main() -> int:
         status = 1
     else:
         print(f"ok   {line}" + ("" if gspn["failures"] else ", identical"))
+    mp = report["mp"]
+    for failure in mp["failures"]:
+        print(f"FAIL mp: {failure}")
+        status = 1
+    line = (f"mp: {mp['ops']} ops, flattened {mp['fast_cpu_s']:.2f}s"
+            f" vs reference {mp['oracle_cpu_s']:.2f}s CPU"
+            f" -> {mp['speedup']:.1f}x")
+    if mp["speedup"] < MIN_MP_SPEEDUP:
+        print(f"FAIL {line} (floor is {MIN_MP_SPEEDUP:.1f}x)")
+        status = 1
+    else:
+        print(f"ok   {line}" + ("" if mp["failures"] else ", identical"))
     published = report["published_bench"]
     for failure in published["failures"]:
         print(f"FAIL published bench: {failure}")

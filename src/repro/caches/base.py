@@ -92,7 +92,11 @@ class Cache:
     def access(self, addr: int, write: bool = False) -> bool:
         """Apply one reference; returns True on hit.  Updates ``stats``."""
         hit = self._lookup_and_update(addr, write)
-        self.stats.record(hit, write)
+        # CacheStats.record, inlined: this runs once per simulated reference.
+        ratio = self.stats.stores if write else self.stats.loads
+        ratio.total += 1
+        if hit:
+            ratio.hits += 1
         return hit
 
     def _lookup_and_update(self, addr: int, write: bool) -> bool:

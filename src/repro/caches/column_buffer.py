@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.address import line_address, set_index, tag_of
 from repro.common.errors import ConfigError
 from repro.common.params import CacheGeometry, IntegratedDeviceParams
-from repro.common.units import is_power_of_two
+from repro.common.units import is_power_of_two, log2_int
 from repro.caches.base import Cache
 from repro.caches.victim import VictimCache
 
@@ -69,21 +68,29 @@ class ColumnBufferCache(Cache):
         self._num_sets = geometry.num_sets
         self._ways = geometry.ways
         self._line = geometry.line_bytes
+        # Address split, fixed by the geometry (CacheGeometry guarantees
+        # power-of-two line sizes and set counts): set index =
+        # (addr >> _line_shift) & _set_mask, tag = addr >> _tag_shift.
+        self._line_shift = log2_int(self._line)
+        self._set_mask = self._num_sets - 1
+        self._tag_shift = self._line_shift + log2_int(self._num_sets)
+        self._sub_mask = ~(sub_block_bytes - 1)
         self._sets: list[list[_Line]] = [[] for _ in range(self._num_sets)]
         self.main_hits = 0
         self.victim_hits = 0
         self.last_hit_was_victim = False
 
     def _lookup_and_update(self, addr: int, write: bool) -> bool:
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         lines = self._sets[index]
-        sub_addr = line_address(addr, self.sub_block_bytes)
+        sub_addr = addr & self._sub_mask
         self.last_hit_was_victim = False
         for pos, line in enumerate(lines):
             if line.tag == tag:
                 line.last_sub_addr = sub_addr
-                line.dirty = line.dirty or write
+                if write:
+                    line.dirty = True
                 if pos != len(lines) - 1:
                     lines.append(lines.pop(pos))
                 self.main_hits += 1
@@ -103,13 +110,9 @@ class ColumnBufferCache(Cache):
             if evicted.dirty:
                 self.stats.writebacks += 1
             if self._on_evict_line is not None:
-                # Exact inverse of set_index/tag_of: CacheGeometry
-                # guarantees power-of-two line_bytes and num_sets, so
-                # (n - 1).bit_length() is their exact bit width.
-                bits_line = (self._line - 1).bit_length()
-                bits_set = (self._num_sets - 1).bit_length()
-                evicted_addr = (evicted.tag << (bits_line + bits_set)) | (
-                    index << bits_line
+                # Exact inverse of the index/tag split above.
+                evicted_addr = (evicted.tag << self._tag_shift) | (
+                    index << self._line_shift
                 )
                 self._on_evict_line(evicted_addr, evicted.dirty)
             if self.victim is not None:
@@ -119,8 +122,8 @@ class ColumnBufferCache(Cache):
 
     def contains(self, addr: int) -> bool:
         """Non-mutating probe of the column buffers only."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         return any(line.tag == tag for line in self._sets[index])
 
     @property
@@ -132,20 +135,17 @@ class ColumnBufferCache(Cache):
     def resident_lines(self) -> list[int]:
         """Byte addresses of resident column-buffer lines.
 
-        The reconstruction ``(tag << (bits_line + bits_set)) |
-        (index << bits_line)`` is the exact inverse of
-        :func:`~repro.common.address.set_index` /
-        :func:`~repro.common.address.tag_of` because
+        The reconstruction ``(tag << _tag_shift) | (index <<
+        _line_shift)`` is the exact inverse of the address split because
         :class:`~repro.common.params.CacheGeometry` rejects
         non-power-of-two line sizes and set counts (see the
         address-roundtrip tests).
         """
-        bits_line = (self._line - 1).bit_length()
-        bits_set = (self._num_sets - 1).bit_length()
         out = []
         for index, lines in enumerate(self._sets):
             for line in lines:
-                out.append((line.tag << (bits_line + bits_set)) | (index << bits_line))
+                out.append((line.tag << self._tag_shift)
+                           | (index << self._line_shift))
         return out
 
     def reset(self) -> None:

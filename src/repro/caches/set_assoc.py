@@ -8,8 +8,8 @@ associativities the paper studies).
 
 from __future__ import annotations
 
-from repro.common.address import set_index, tag_of
 from repro.common.params import CacheGeometry
+from repro.common.units import log2_int
 from repro.caches.base import Cache
 
 
@@ -32,13 +32,18 @@ class SetAssociativeCache(Cache):
         self._ways = geometry.ways
         self._line = geometry.line_bytes
         self._on_evict = on_evict
+        # Address split: set index = (addr >> _line_shift) & _set_mask,
+        # tag = addr >> _tag_shift.
+        self._line_shift = log2_int(self._line)
+        self._set_mask = self._num_sets - 1
+        self._tag_shift = self._line_shift + log2_int(self._num_sets)
         # Each set is a list of tags, most-recently-used last.
         self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
         self._dirty: set[tuple[int, int]] = set()  # (set index, tag)
 
     def _lookup_and_update(self, addr: int, write: bool) -> bool:
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         tags = self._sets[index]
         if tag in tags:
             if tags[-1] != tag:
@@ -63,25 +68,23 @@ class SetAssociativeCache(Cache):
 
     def is_dirty(self, addr: int) -> bool:
         """True when the line holding ``addr`` is resident and dirty."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         return (index, tag) in self._dirty
 
     def _line_address(self, tag: int, index: int) -> int:
-        bits_line = (self._line - 1).bit_length()
-        bits_set = (self._num_sets - 1).bit_length()
-        return (tag << (bits_line + bits_set)) | (index << bits_line)
+        return (tag << self._tag_shift) | (index << self._line_shift)
 
     def contains(self, addr: int) -> bool:
         """Non-mutating membership probe (does not touch LRU or stats)."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         return tag in self._sets[index]
 
     def invalidate(self, addr: int) -> None:
         """Drop the line containing ``addr`` without eviction callbacks."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         tags = self._sets[index]
         if tag in tags:
             tags.remove(tag)

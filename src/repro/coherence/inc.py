@@ -8,10 +8,9 @@ pays the local-memory latency plus one tag-check cycle (Table 6).
 
 from __future__ import annotations
 
-from repro.common.address import set_index, tag_of
 from repro.common.errors import ConfigError
 from repro.common.params import COHERENCE_UNIT_BYTES, INC_WAYS
-from repro.common.units import MB, is_power_of_two
+from repro.common.units import MB, is_power_of_two, log2_int
 
 
 class InterNodeCache:
@@ -33,6 +32,11 @@ class InterNodeCache:
         self.line_bytes = COHERENCE_UNIT_BYTES
         self.num_sets = sets
         self._on_evict = on_evict
+        # Address split: set index = (addr >> _line_shift) & _set_mask,
+        # tag = addr >> _tag_shift.
+        self._line_shift = log2_int(self.line_bytes)
+        self._set_mask = sets - 1
+        self._tag_shift = self._line_shift + log2_int(sets)
         self._sets: list[list[int]] = [[] for _ in range(sets)]  # tags, MRU last
         self.probes = 0
         self.hits = 0
@@ -44,9 +48,8 @@ class InterNodeCache:
         return self.num_sets * self.ways * self.line_bytes
 
     def _locate(self, addr: int) -> tuple[list[int], int]:
-        index = set_index(addr, self.line_bytes, self.num_sets)
-        tag = tag_of(addr, self.line_bytes, self.num_sets)
-        return self._sets[index], tag
+        index = (addr >> self._line_shift) & self._set_mask
+        return self._sets[index], addr >> self._tag_shift
 
     def probe(self, addr: int) -> bool:
         self.probes += 1
@@ -69,11 +72,9 @@ class InterNodeCache:
             victim_tag = tags.pop(0)
             self.evictions += 1
             if self._on_evict is not None:
-                index = set_index(addr, self.line_bytes, self.num_sets)
-                bits_line = (self.line_bytes - 1).bit_length()
-                bits_set = (self.num_sets - 1).bit_length()
-                victim_addr = (victim_tag << (bits_line + bits_set)) | (
-                    index << bits_line
+                index = (addr >> self._line_shift) & self._set_mask
+                victim_addr = (victim_tag << self._tag_shift) | (
+                    index << self._line_shift
                 )
                 self._on_evict(victim_addr)
         tags.append(tag)

@@ -96,6 +96,9 @@ class Directory:
         self.block_bytes = block_bytes
         self.num_nodes = num_nodes
         self._entries: dict[int, BlockEntry] = {}
+        # peek_block(block) -> entry or None: :meth:`peek` for a block
+        # address, for callers that align the address themselves.
+        self.peek_block = self._entries.get
         self.stats = ProtocolStats()
 
     def block_of(self, addr: int) -> int:
@@ -117,9 +120,16 @@ class Directory:
             self._entries[block] = found
         return found
 
+    def peek(self, addr: int) -> BlockEntry | None:
+        """The entry of ``addr``'s block, or None if it has none (so it
+        is UNOWNED).  Unlike :meth:`entry`, creates no entry."""
+        return self._entries.get(self.block_of(addr))
+
     def copies_to_invalidate(self, addr: int, requester: int) -> set[int]:
         """Nodes (other than the requester) holding copies of ``addr``."""
-        entry = self.entry(addr)
+        entry = self.peek(addr)
+        if entry is None:
+            return set()
         if entry.state is BlockState.SHARED:
             return entry.sharers - {requester}
         if entry.state is BlockState.EXCLUSIVE and entry.owner != requester:
@@ -127,15 +137,17 @@ class Directory:
         return set()
 
     # -- state transitions --------------------------------------------------
-    # Each returns the set of nodes whose cached copies must be dropped.
 
-    def record_read(self, addr: int, requester: int, home: int) -> set[int]:
-        """A read by ``requester`` reaches the home directory."""
+    def record_read(self, addr: int, requester: int, home: int) -> None:
+        """A read by ``requester`` reaches the home directory.
+
+        A remote exclusive owner is demoted to a sharer and keeps its
+        copy, so no copy has to be dropped.
+        """
         self._check_node(requester, "requester", addr)
         self._check_node(home, "home", addr)
         entry = self.entry(addr)
         entry.check(self.num_nodes, self.block_of(addr))
-        demoted: set[int] = set()
         if entry.state is BlockState.EXCLUSIVE and entry.owner != requester:
             # Owner writes back; both keep shared copies (or home memory
             # regains ownership if the reader is the home itself).
@@ -154,10 +166,12 @@ class Directory:
         elif entry.state is BlockState.SHARED and not entry.sharers:
             entry.state = BlockState.UNOWNED
         entry.check(self.num_nodes, self.block_of(addr))
-        return demoted
 
     def record_write(self, addr: int, requester: int, home: int) -> set[int]:
-        """A write by ``requester``: invalidate every other copy."""
+        """A write by ``requester``: invalidate every other copy.
+
+        Returns the nodes whose cached copies must be dropped.
+        """
         self._check_node(requester, "requester", addr)
         self._check_node(home, "home", addr)
         entry = self.entry(addr)
@@ -194,9 +208,11 @@ class Directory:
         entry.check(self.num_nodes, self.block_of(addr))
 
     def is_remote_exclusive(self, addr: int, node: int) -> bool:
-        entry = self.entry(addr)
-        return entry.state is BlockState.EXCLUSIVE and entry.owner != node
+        entry = self.peek(addr)
+        return (entry is not None and entry.state is BlockState.EXCLUSIVE
+                and entry.owner != node)
 
     def is_owner(self, addr: int, node: int) -> bool:
-        entry = self.entry(addr)
-        return entry.state is BlockState.EXCLUSIVE and entry.owner == node
+        entry = self.peek(addr)
+        return (entry is not None and entry.state is BlockState.EXCLUSIVE
+                and entry.owner == node)

@@ -51,10 +51,27 @@ class HitLevel(Enum):
     PAGE_FAULT = "page_fault"  # S-COMA page allocation (software cost)
 
 
+# Integer codes of the levels: the MP access path counts and prices hits
+# in lists indexed by code, and ``LEVELS[code]`` is the level itself.
+LEVELS: tuple[HitLevel, ...] = tuple(HitLevel)
+_CODE = {level: code for code, level in enumerate(LEVELS)}
+CACHE = _CODE[HitLevel.CACHE]
+VICTIM = _CODE[HitLevel.VICTIM]
+LOCAL_MEMORY = _CODE[HitLevel.LOCAL_MEMORY]
+INC = _CODE[HitLevel.INC]
+SLC = _CODE[HitLevel.SLC]
+REMOTE = _CODE[HitLevel.REMOTE]
+PAGE_FAULT = _CODE[HitLevel.PAGE_FAULT]
+
+
 class NodeMemory(Protocol):
     node_id: int
 
     def lookup(self, addr: int, is_local: bool) -> HitLevel: ...
+
+    def local_code(self, addr: int) -> int: ...
+
+    def remote_code(self, addr: int) -> int: ...
 
     def fill_remote(self, addr: int) -> None: ...
 
@@ -91,20 +108,28 @@ class IntegratedNode:
         self.inc = InterNodeCache(inc_bytes, on_evict=_inc_evicted)
 
     def lookup(self, addr: int, is_local: bool) -> HitLevel:
+        """The level that serves ``addr`` (updating the caches)."""
         if is_local:
-            # Column buffers (and their victim) cache local memory; a miss
-            # loads the column as part of the same DRAM access.
-            if self.columns.access(addr):
-                if self.columns.last_hit_was_victim:
-                    return HitLevel.VICTIM
-                return HitLevel.CACHE
-            return HitLevel.LOCAL_MEMORY
+            return LEVELS[self.local_code(addr)]
+        return LEVELS[self.remote_code(addr)]
+
+    def local_code(self, addr: int) -> int:
+        """:meth:`lookup` of a local address, as a level code."""
+        # Column buffers (and their victim) cache local memory; a miss
+        # loads the column as part of the same DRAM access.
+        columns = self.columns
+        if columns.access(addr):
+            return VICTIM if columns.last_hit_was_victim else CACHE
+        return LOCAL_MEMORY
+
+    def remote_code(self, addr: int) -> int:
+        """:meth:`lookup` of a remote address, as a level code."""
         # Remote data: victim staging buffer first, then the INC.
         if self.victim is not None and self.victim.probe(addr):
-            return HitLevel.VICTIM
+            return VICTIM
         if self.inc.probe(addr):
-            return HitLevel.INC
-        return HitLevel.REMOTE
+            return INC
+        return REMOTE
 
     def fill_remote(self, addr: int) -> None:
         self.inc.install(addr)
@@ -158,16 +183,14 @@ class SCOMANode(IntegratedNode):
     def _block(self, addr: int) -> int:
         return addr - (addr % COHERENCE_UNIT_BYTES)
 
-    def lookup(self, addr: int, is_local: bool) -> HitLevel:
-        if is_local:
-            return super().lookup(addr, True)
+    def remote_code(self, addr: int) -> int:
         if self._page(addr) not in self._pages:
             self.page_faults += 1
-            return HitLevel.PAGE_FAULT
+            return PAGE_FAULT
         if self._block(addr) not in self._valid_blocks:
-            return HitLevel.REMOTE
+            return REMOTE
         # Allocated and valid: behaves exactly like local memory.
-        return super().lookup(addr, True)
+        return self.local_code(addr)
 
     def fill_remote(self, addr: int) -> None:
         self._pages.add(self._page(addr))
@@ -204,14 +227,28 @@ class ReferenceNode:
         return addr - (addr % COHERENCE_UNIT_BYTES)
 
     def lookup(self, addr: int, is_local: bool) -> HitLevel:
-        if self.flc.access(addr):
-            return HitLevel.CACHE
-        if self._block(addr) in self._slc:
-            return HitLevel.SLC  # the FLC access above refilled the line
+        """The level that serves ``addr`` (updating the caches)."""
         if is_local:
-            self._slc.add(self._block(addr))
-            return HitLevel.LOCAL_MEMORY
-        return HitLevel.REMOTE
+            return LEVELS[self.local_code(addr)]
+        return LEVELS[self.remote_code(addr)]
+
+    def local_code(self, addr: int) -> int:
+        """:meth:`lookup` of a local address, as a level code."""
+        if self.flc.access(addr):
+            return CACHE
+        block = self._block(addr)
+        if block in self._slc:
+            return SLC  # the FLC access above refilled the line
+        self._slc.add(block)
+        return LOCAL_MEMORY
+
+    def remote_code(self, addr: int) -> int:
+        """:meth:`lookup` of a remote address, as a level code."""
+        if self.flc.access(addr):
+            return CACHE
+        if self._block(addr) in self._slc:
+            return SLC
+        return REMOTE
 
     def fill_remote(self, addr: int) -> None:
         self._slc.add(self._block(addr))

@@ -97,6 +97,18 @@ class TestDirectoryTransitions:
         assert not directory.is_remote_exclusive(0x100, node=1)
         assert directory.is_owner(0x100, node=1)
 
+    def test_peeks_create_no_entry(self):
+        directory = Directory()
+        assert not directory.is_remote_exclusive(0x100, node=0)
+        assert not directory.is_owner(0x100, node=0)
+        assert directory.copies_to_invalidate(0x100, requester=0) == set()
+        assert directory.peek(0x100) is None
+        assert directory.peek_block(0x100) is None
+        assert directory._entries == {}
+        directory.record_write(0x100, requester=1, home=0)
+        assert directory.peek(0x11F) is directory.peek_block(0x100)
+        assert directory.peek(0x11F).owner == 1
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -117,6 +117,38 @@ class TestLocks:
         assert order == [0, 1, 2]
 
 
+class TestLockArea:
+    """Locks live in the top 64 KB of each region: 1024 per node."""
+
+    def test_highest_lock_id_maps_into_its_home_region(self):
+        engine = _engine(2)
+        addr = engine._lock_addr(2047)
+        assert engine.system.layout.home_of(addr) == 1
+        assert addr == 2 * NODE_REGION_BYTES - 64
+
+    def test_lock_id_past_the_area_raises(self):
+        # 2048 would land on node 1's first data allocation (0x10000000).
+        engine = _engine(2)
+        with pytest.raises(SimulationError,
+                           match=r"lock id 2048 .* 2-node .* 0 to 2047"):
+            engine._lock_addr(2048)
+        with pytest.raises(SimulationError, match="lock id 2049 "):
+            engine._lock_addr(2049)
+
+    def test_negative_lock_id_raises(self):
+        with pytest.raises(SimulationError,
+                           match=r"lock id -1 .* 4-node .* 0 to 4095"):
+            _engine(4)._lock_addr(-1)
+
+    def test_kernel_with_out_of_range_lock_fails_the_run(self):
+        def kernel(pid, n):
+            yield Lock(1024 * n)
+            yield Unlock(1024 * n)
+
+        with pytest.raises(SimulationError, match="lock id 2048 "):
+            _engine(2).run(kernel)
+
+
 class TestDeadlockDetection:
     def test_unreleased_lock_deadlocks(self):
         def kernel(pid, n):
